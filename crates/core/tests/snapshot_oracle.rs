@@ -79,8 +79,10 @@ fn const_model(n: f64, p: f64) -> TrainedModel {
 
 /// The kernel classes of the oracle matrix (mirrors the step-mode
 /// differential suite): streaming-heavy, cache-resident, a finite trace
-/// that drains mid-run (exercising snapshots of a drained machine), and
-/// a phased compute/memory kernel.
+/// that drains mid-run (exercising snapshots of a drained machine), a
+/// phased compute/memory kernel, and a full-occupancy reject storm whose
+/// snapshots land mid-storm, so a restored SM must rebuild its (never
+/// serialised) reject memo from cold.
 fn kernels() -> Vec<(&'static str, KernelSpec)> {
     let mut resident = AccessMix::memory_sensitive();
     resident.hot_lines = 4;
@@ -123,6 +125,10 @@ fn kernels() -> Vec<(&'static str, KernelSpec)> {
                 7,
             )
             .with_warps(8),
+        ),
+        (
+            "storm",
+            KernelSpec::steady("diff-storm", AccessMix::memory_sensitive(), 3).with_warps(24),
         ),
     ]
 }
@@ -222,6 +228,12 @@ fn assert_oracle<C: Controller + Debug>(policy: &str, make: impl Fn() -> C) {
     for (kname, spec) in kernels() {
         for mode in modes() {
             let cold = run_cold(mode, &spec, &make);
+            if kname == "storm" && policy == "GTO" {
+                assert!(
+                    cold.counters.l1_rejects > 0,
+                    "{policy}/{kname}/{mode:?}: full occupancy must storm"
+                );
+            }
             for (sname, splits) in [
                 ("fork", vec![17_000u64]),
                 ("chained", vec![9_000, 23_000, 31_000]),

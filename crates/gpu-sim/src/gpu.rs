@@ -24,6 +24,23 @@
 //!   unchanged can only have bumped reject/stall counters, so its exact
 //!   replicas up to the next event are accounted without stepping.
 //!
+//! Cycles that do step through a storm — a fill arrived, or another warp
+//! issued — would still retry every rejected load. [`Sm`] memoises those
+//! rejects instead, in every step mode: the issue scan counts a memoised
+//! warp as one reject without probing the tag store or the MSHR file.
+//! The memo is exact because a reject of line `L` can only end through a
+//! fill of `L`, an allocation for `L`, or a freed MSHR entry (see
+//! [`L1Data`](crate::l1::L1Data)): fills and allocations forget the
+//! memoised rejects of their line, and the memo is consulted only while
+//! the MSHR file is exhausted. Merges, stores and hits cannot end a
+//! reject, so they leave the memo alone. A reject itself has no effect
+//! but the counter — the stashed load is re-fetched unchanged and
+//! re-observing the same line in the reuse stack is an identity — so
+//! counting it is exact, and within one issue scan the L1 changes only
+//! on a successful issue, which ends the scan. Debug builds re-check
+//! every memo hit against
+//! [`L1Data::would_reject`](crate::l1::L1Data::would_reject).
+//!
 //! ## The per-SM horizon invariant
 //!
 //! SMs interact only through two channels, and each bounds how far one SM

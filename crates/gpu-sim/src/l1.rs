@@ -81,6 +81,16 @@ pub struct PcStats {
 /// list scanned for merges (O(misses in flight), two cache lines instead
 /// of the ~30 a full entry scan touches) and `free` is a stack popped for
 /// allocation in O(1).
+///
+/// **When a structural reject can end.** A load of line `L` is rejected
+/// ([`L1Data::would_reject`]) when `L` is not resident and either `L`'s
+/// in-flight request is at the merge limit, or `L` has none and no entry
+/// is free. Only three mutations undo that: a fill of `L` (makes it
+/// resident or retires its request), an allocation for `L` (gives it a
+/// request to merge into) and a fill of any line (frees an entry). Merges
+/// only add waiters, stores and fill reservations only evict lines, and
+/// hits only refresh LRU stamps and toucher bits, so none of them can
+/// turn a reject into an accept. The SM's reject memo rests on this.
 #[derive(Debug)]
 pub struct L1Data {
     pub(crate) tags: SetAssocCache,
@@ -112,6 +122,20 @@ impl L1Data {
         }
     }
 
+    /// Whether a load of `line` would be structurally rejected right now:
+    /// the tag probe misses and either the in-flight request for the line
+    /// is at its merge limit, or there is none and no MSHR is free. Pure —
+    /// no counter, LRU or MSHR state changes.
+    pub fn would_reject(&self, line: u64) -> bool {
+        if matches!(self.tags.probe(line), Lookup::Hit { .. }) {
+            return false;
+        }
+        match self.find_mshr(line) {
+            Some(idx) => self.mshrs[idx].waiters.len() >= self.merge_limit,
+            None => self.free.is_empty(),
+        }
+    }
+
     /// Access the underlying tag store (testing / inspection).
     pub fn tags(&self) -> &SetAssocCache {
         &self.tags
@@ -120,6 +144,12 @@ impl L1Data {
     /// Number of MSHR entries currently in use.
     pub fn mshrs_in_use(&self) -> usize {
         self.in_use.len()
+    }
+
+    /// Whether every MSHR entry is in use.
+    #[inline]
+    pub(crate) fn mshrs_exhausted(&self) -> bool {
+        self.free.is_empty()
     }
 
     /// Set or clear the force-bypass flag of a load PC (APCM).
@@ -143,7 +173,7 @@ impl L1Data {
 
     /// Perform a load lookup.
     ///
-    /// `warp_bit` is the SM-local warp index (scheduler * capacity + warp)
+    /// `warp_bit` is the SM-local warp index ([`sm_local_warp_bit`])
     /// used for intra/inter-warp reuse classification; `polluting` is the
     /// warp's pollute bit; `waiter` identifies the warp for wakeup.
     #[allow(clippy::too_many_arguments)]
@@ -166,7 +196,7 @@ impl L1Data {
             Lookup::Hit { set, way } => {
                 self.count_access(polluting, pc, stats);
                 let l = self.tags.line_mut(set, way);
-                let mask = 1u64 << (warp_bit % 64);
+                let mask = 1u64 << warp_bit;
                 let intra = l.touchers & mask != 0;
                 l.touchers |= mask;
                 stats.bump(|c| {
@@ -273,7 +303,7 @@ impl L1Data {
         let mut touchers = 0u64;
         for w in waiters {
             let warp_bit = sm_local_warp_bit(w.scheduler, w.warp);
-            touchers |= 1u64 << (warp_bit % 64);
+            touchers |= 1u64 << warp_bit;
         }
         if let Some((set, way)) = e.target {
             // The reservation may have been invalidated by a store; only
@@ -339,10 +369,18 @@ impl L1Data {
     }
 }
 
-/// SM-local warp identifier used in line toucher bitmasks.
+/// Stride between schedulers in the SM-local warp numbering: scheduler
+/// `s` owns toucher bits `s * WARP_BIT_STRIDE ..`. Every warp of an SM
+/// must get its own bit of the 64-bit toucher mask, so `Sm::new` rejects
+/// configurations with more than `WARP_BIT_STRIDE` warps per scheduler or
+/// more than `64 / WARP_BIT_STRIDE` schedulers.
+pub const WARP_BIT_STRIDE: usize = 24;
+
+/// SM-local warp identifier used in line toucher bitmasks (always below
+/// 64 for a configuration `Sm::new` accepts).
 #[inline]
 pub fn sm_local_warp_bit(scheduler: u8, warp: u8) -> u32 {
-    (scheduler as u32) * 24 + warp as u32
+    (scheduler as u32) * WARP_BIT_STRIDE as u32 + warp as u32
 }
 
 #[cfg(test)]
@@ -481,6 +519,92 @@ mod tests {
         assert_eq!(l1.tags().valid_lines(), 0, "bypassed PC must not allocate");
         // Accounting also treats it as non-polluting.
         assert_eq!(st.total.l1_accesses_non_polluting, 1);
+    }
+
+    #[test]
+    fn rejects_end_only_on_fills_and_own_line_allocations() {
+        let (mut l1, mut st) = l1();
+        let load = |l1: &mut L1Data, st: &mut GpuStats, line: u64| {
+            l1.access_load(line, 0, true, 0, 0, waiter(0, 0), st)
+        };
+        let mshr = |out| match out {
+            AccessOutcome::Miss { mshr, .. } => mshr,
+            o => panic!("{o:?}"),
+        };
+        // Line 8 resident; line 9 at the merge limit (2); lines 10-12
+        // fill the rest of the MSHR file.
+        let m8 = mshr(load(&mut l1, &mut st, 8));
+        l1.complete_fill(m8, 10, &mut st);
+        let m9 = mshr(load(&mut l1, &mut st, 9));
+        load(&mut l1, &mut st, 9);
+        let m10 = mshr(load(&mut l1, &mut st, 10));
+        load(&mut l1, &mut st, 11);
+        load(&mut l1, &mut st, 12);
+        assert!(l1.mshrs_exhausted());
+        assert!(l1.would_reject(9) && l1.would_reject(13));
+        // A merge, a hit and stores leave both rejects standing.
+        load(&mut l1, &mut st, 10);
+        assert_eq!(load(&mut l1, &mut st, 8), AccessOutcome::Hit);
+        l1.access_store(13);
+        l1.access_store(8);
+        assert!(l1.would_reject(9) && l1.would_reject(13));
+        // A fill of another line frees an entry: 13 may allocate, while 9
+        // is still at its merge limit.
+        l1.complete_fill(m10, 50, &mut st);
+        assert!(!l1.mshrs_exhausted());
+        assert!(l1.would_reject(9) && !l1.would_reject(13));
+        // Allocating another line exhausts the file and rejects 13 again.
+        load(&mut l1, &mut st, 15);
+        assert!(l1.would_reject(13));
+        // The fill of 9 makes it resident.
+        l1.complete_fill(m9, 60, &mut st);
+        assert!(!l1.would_reject(9));
+        // An allocation for 13 itself gives it a request to merge into.
+        load(&mut l1, &mut st, 13);
+        assert!(l1.mshrs_exhausted() && !l1.would_reject(13));
+    }
+
+    #[test]
+    fn would_reject_predicts_access_load_without_side_effects() {
+        let (mut l1, mut st) = l1();
+        let load = |l1: &mut L1Data, st: &mut GpuStats, line: u64, w: u8| {
+            let predicted = l1.would_reject(line);
+            let before = (l1.tags.stamp, l1.mshrs_in_use(), st.total);
+            // Probing is pure: asking twice, or asking at all, changes
+            // nothing the load then observes.
+            assert_eq!(l1.would_reject(line), predicted);
+            assert_eq!((l1.tags.stamp, l1.mshrs_in_use(), st.total), before);
+            let out = l1.access_load(line, w as u32, true, 0, 0, waiter(0, w), st);
+            assert_eq!(
+                out == AccessOutcome::Reject,
+                predicted,
+                "line {line}: {out:?}"
+            );
+            out
+        };
+        // Merge limit (2): the third requester of line 9 is rejected.
+        let m9 = match load(&mut l1, &mut st, 9, 0) {
+            AccessOutcome::Miss { mshr, .. } => mshr,
+            o => panic!("{o:?}"),
+        };
+        load(&mut l1, &mut st, 9, 1);
+        assert!(l1.would_reject(9));
+        load(&mut l1, &mut st, 9, 2);
+        // MSHR exhaustion (4 entries): new lines are rejected, in-flight
+        // lines below the merge limit still merge.
+        for line in 10..13 {
+            load(&mut l1, &mut st, line, 3);
+        }
+        assert!(l1.would_reject(13));
+        load(&mut l1, &mut st, 13, 4);
+        load(&mut l1, &mut st, 10, 5);
+        // A fill frees an entry and makes its line resident.
+        l1.complete_fill(m9, 100, &mut st);
+        assert!(!l1.would_reject(9) && !l1.would_reject(13));
+        load(&mut l1, &mut st, 9, 6);
+        load(&mut l1, &mut st, 13, 7);
+        load(&mut l1, &mut st, 14, 8);
+        assert_eq!(st.total.l1_rejects, 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::GpuConfig;
 use crate::instruction::{Instr, KernelSource};
-use crate::l1::{sm_local_warp_bit, AccessOutcome, L1Data, MshrWaiter};
+use crate::l1::{sm_local_warp_bit, AccessOutcome, L1Data, MshrWaiter, WARP_BIT_STRIDE};
 use crate::memsys::MemRequester;
 use crate::scheduler::WarpScheduler;
 use crate::stats::GpuStats;
@@ -47,6 +47,12 @@ pub enum SmEvent {
 /// (issue-side blocking, stream exhaustion, load completion); tuple
 /// steering needs no recompute because the mask covers all warps and the
 /// vital prefix is applied at query time.
+///
+/// A third summary memoises structural rejects: `reject_mask[s]` has bit
+/// `w` set iff warp `w` of scheduler `s` holds a stashed load that the L1
+/// rejected and that provably still would be (see the field docs). The
+/// issue scan counts such a warp as one reject without re-probing the tag
+/// store and MSHR file — a retry would have no other effect.
 pub struct Sm {
     /// SM index within the GPU.
     pub id: usize,
@@ -72,6 +78,17 @@ pub struct Sm {
     /// drains each MSHR entry's waiters into this buffer so the hot path
     /// allocates nothing per fill.
     pub(crate) fill_scratch: Vec<MshrWaiter>,
+    /// Per-scheduler memo of warps whose stashed load the L1 rejected
+    /// (bit `w` = warp `w`). Only a fill of the load's line, an
+    /// allocation for it, or a freed MSHR entry can end a reject (see
+    /// [`L1Data`]): fills and allocations clear the bits of the warps
+    /// waiting on their line, and the memo is only consulted while the
+    /// MSHR file is exhausted. A memoised warp's pending load stays the
+    /// rejected one, since only its own retry could consume it. Derived
+    /// state: never serialised, a restored SM starts with an empty memo.
+    pub(crate) reject_mask: Vec<u64>,
+    /// The line of each memoised load, indexed by [`sm_local_warp_bit`].
+    pub(crate) reject_line: Vec<u64>,
 }
 
 /// Bitmask of the `n` lowest warp slots.
@@ -113,7 +130,17 @@ impl Sm {
                     .collect()
             })
             .collect();
-        debug_assert!(n_warps <= 64, "readiness bitmask is u64-wide");
+        // Every warp of the SM needs its own bit in the u64 readiness and
+        // reject masks and in the L1's toucher masks.
+        assert!(
+            cfg.max_warps_per_scheduler <= WARP_BIT_STRIDE
+                && cfg.schedulers_per_sm * WARP_BIT_STRIDE <= 64,
+            "{} schedulers x {} warps do not fit the 64-bit per-SM warp masks \
+             (at most {WARP_BIT_STRIDE} warps per scheduler and {} schedulers)",
+            cfg.schedulers_per_sm,
+            cfg.max_warps_per_scheduler,
+            64 / WARP_BIT_STRIDE,
+        );
         // Fresh warps are all ready and live.
         let ready_mask = vec![warp_mask(n_warps); cfg.schedulers_per_sm];
         let live_warps = vec![n_warps as u32; cfg.schedulers_per_sm];
@@ -127,6 +154,8 @@ impl Sm {
             live_warps,
             version: 0,
             fill_scratch: Vec::new(),
+            reject_mask: vec![0; cfg.schedulers_per_sm],
+            reject_line: vec![0; cfg.schedulers_per_sm * WARP_BIT_STRIDE],
         }
     }
 
@@ -262,35 +291,81 @@ impl Sm {
         // (blocked warps cost nothing); at most MAX_ISSUE_ATTEMPTS ready
         // warps are probed per cycle (arbitration width). A probe can only
         // change the probed warp's own state, so the snapshot taken here
-        // matches a fresh readiness check at every candidate.
+        // matches a fresh readiness check at every candidate. Memoised
+        // rejects count as probes but are only tallied; the L1 changes
+        // only on a successful issue, which ends the scan.
         let sched = &self.schedulers[sched_idx];
         let mut ready = self.issue_candidates(sched_idx);
-        let greedy = sched.greedy_warp().filter(|&g| sched.vital(g));
-        let mut attempts = 0;
+        let mut greedy = sched
+            .greedy_warp()
+            .filter(|&g| sched.vital(g) && ready & (1u64 << g) != 0);
         if let Some(g) = greedy {
-            let bit = 1u64 << g;
-            if ready & bit != 0 {
-                attempts += 1;
-                if let Some(kind) = self.try_issue(sched_idx, g, now, mem, events, stats) {
-                    self.note_issued(sched_idx, g, kind, stats);
-                    return true;
-                }
-            }
-            ready &= !bit;
+            ready &= !(1u64 << g);
         }
-        while ready != 0 {
-            let w_idx = ready.trailing_zeros() as usize;
-            ready &= ready - 1;
-            attempts += 1;
-            if attempts > MAX_ISSUE_ATTEMPTS {
-                break;
+        let memo = self.memoised_rejects(sched_idx);
+        let mut replayed = 0u64;
+        let mut issued = false;
+        for _ in 0..MAX_ISSUE_ATTEMPTS {
+            let w_idx = match greedy.take() {
+                Some(g) => g,
+                None if ready != 0 => {
+                    let w = ready.trailing_zeros() as usize;
+                    ready &= ready - 1;
+                    w
+                }
+                None => break,
+            };
+            if memo & (1u64 << w_idx) != 0 {
+                debug_assert!(
+                    matches!(self.warps[sched_idx][w_idx].pending,
+                        Some(Instr::Load { line, .. }) if self.l1.would_reject(line)),
+                    "memoised reject of warp {sched_idx}:{w_idx} would not reject"
+                );
+                replayed += 1;
+                continue;
             }
             if let Some(kind) = self.try_issue(sched_idx, w_idx, now, mem, events, stats) {
                 self.note_issued(sched_idx, w_idx, kind, stats);
-                return true;
+                issued = true;
+                break;
             }
         }
-        false
+        if replayed > 0 {
+            stats.bump(|c| c.l1_rejects += replayed);
+        }
+        issued
+    }
+
+    /// Scheduler `s`'s memoised rejects, usable while no MSHR is free.
+    #[inline]
+    fn memoised_rejects(&self, s: usize) -> u64 {
+        if self.l1.mshrs_exhausted() {
+            self.reject_mask[s]
+        } else {
+            0
+        }
+    }
+
+    /// Memoise the L1's reject of warp `w` of scheduler `s`'s load of
+    /// `line`.
+    fn memoise_reject(&mut self, s: usize, w: usize, line: u64) {
+        self.reject_mask[s] |= 1u64 << w;
+        self.reject_line[sm_local_warp_bit(s as u8, w as u8) as usize] = line;
+    }
+
+    /// Drop the memoised rejects of loads of `line`, which a fill of or an
+    /// allocation for `line` may have ended.
+    fn forget_rejects(&mut self, line: u64) {
+        for (s, mask) in self.reject_mask.iter_mut().enumerate() {
+            let mut m = *mask;
+            while m != 0 {
+                let w = m.trailing_zeros();
+                m &= m - 1;
+                if self.reject_line[sm_local_warp_bit(s as u8, w as u8) as usize] == line {
+                    *mask &= !(1u64 << w);
+                }
+            }
+        }
     }
 
     /// Book-keeping for a successful issue: greedy favourite, instruction
@@ -410,6 +485,7 @@ impl Sm {
                             let warp = &mut self.warps[sched_idx][w_idx];
                             warp.outstanding_loads += 1;
                             if primary {
+                                self.forget_rejects(line);
                                 // The memory system schedules the fill —
                                 // immediately, or (in deferred mode) once
                                 // the request is applied in global order.
@@ -422,6 +498,7 @@ impl Sm {
                             // try another warp this cycle.
                             let warp = &mut self.warps[sched_idx][w_idx];
                             warp.stash(instr);
+                            self.memoise_reject(sched_idx, w_idx, line);
                             return None;
                         }
                     }
@@ -435,6 +512,7 @@ impl Sm {
     pub fn handle_event(&mut self, ev: SmEvent, now: u64, stats: &mut GpuStats) {
         match ev {
             SmEvent::Fill { mshr } => {
+                self.forget_rejects(self.l1.mshrs[mshr].line);
                 let mut waiters = std::mem::take(&mut self.fill_scratch);
                 self.l1.complete_fill_into(mshr, now, stats, &mut waiters);
                 for w in &waiters {
@@ -460,7 +538,7 @@ enum IssuedKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::UniformKernel;
+    use crate::instruction::{InstructionStream, UniformKernel};
     use crate::memsys::MemSystem;
 
     struct VecSink(Vec<(u64, usize, SmEvent)>);
@@ -558,6 +636,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memoised_rejects_count_one_per_probe_while_the_mshrs_stay_exhausted() {
+        // One MSHR: scheduler 0's warp 0 takes it at cycle 0 and every
+        // other load is rejected until its fill.
+        let k = UniformKernel::streaming(4, 0);
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.l1_mshrs = 1;
+        let mut sm = Sm::new(0, &cfg, &k);
+        let mut mem = MemSystem::new(&cfg);
+        let mut st = GpuStats::new();
+        let mut ev = VecSink(Vec::new());
+        sm.step(0, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.l1_rejects, 4, "scheduler 1 probes all 4 warps");
+        assert_eq!(sm.reject_mask, vec![0, 0b1111]);
+        // Scheduler 0's greedy warp blocks on its sync; warps 1-3 are
+        // rejected for real and scheduler 1's 4 retries are memo hits.
+        sm.step(1, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.l1_rejects, 4 + 3 + 4);
+        assert_eq!(sm.reject_mask, vec![0b1110, 0b1111]);
+        sm.step(2, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.l1_rejects, 11 + 3 + 4);
+        // The fill frees the MSHR, so scheduler 0 probes for real and its
+        // unblocked greedy warp takes it. That exhausts the file again, and
+        // scheduler 1's rejects (other lines) are memo hits once more.
+        let events: Vec<_> = ev.0.drain(..).collect();
+        for (at, _, e) in events {
+            sm.handle_event(e, at, &mut st);
+        }
+        sm.step(1_000, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.loads, 2);
+        assert_eq!(st.total.l1_rejects, 18 + 4);
+        assert_eq!(sm.reject_mask, vec![0b1110, 0b1111]);
+    }
+
+    /// Every warp loads line 7, then syncs, forever.
+    struct SharedLine;
+    struct SharedLineStream(bool);
+
+    impl KernelSource for SharedLine {
+        fn stream_for(&self, _: usize, _: usize, _: usize) -> Box<dyn InstructionStream> {
+            Box::new(SharedLineStream(false))
+        }
+
+        fn warps_per_scheduler(&self) -> usize {
+            4
+        }
+    }
+
+    impl InstructionStream for SharedLineStream {
+        fn next_instr(&mut self) -> Option<Instr> {
+            self.0 = !self.0;
+            Some(if self.0 {
+                Instr::Load { line: 7, pc: 0 }
+            } else {
+                Instr::SyncLoads
+            })
+        }
+    }
+
+    #[test]
+    fn a_fill_forgets_the_rejects_of_its_line() {
+        // Merge limit 1: once scheduler 0 allocates line 7, every other
+        // load of it is rejected until the fill makes the line resident.
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.l1_mshrs = 1;
+        cfg.mshr_merge_limit = 1;
+        let mut sm = Sm::new(0, &cfg, &SharedLine);
+        let mut mem = MemSystem::new(&cfg);
+        let mut st = GpuStats::new();
+        let mut ev = VecSink(Vec::new());
+        sm.step(0, &mut mem, &mut ev, &mut st);
+        assert_eq!(sm.reject_mask, vec![0, 0b1111]);
+        let events: Vec<_> = ev.0.drain(..).collect();
+        for (at, _, e) in events {
+            sm.handle_event(e, at, &mut st);
+        }
+        assert_eq!(sm.reject_mask, vec![0, 0]);
+        sm.step(1_000, &mut mem, &mut ev, &mut st);
+        assert_eq!(st.total.l1_hits, 2, "both schedulers hit the filled line");
+        assert_eq!(st.total.l1_rejects, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the 64-bit per-SM warp masks")]
+    fn more_warps_per_scheduler_than_the_mask_stride_are_rejected() {
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.max_warps_per_scheduler = WARP_BIT_STRIDE + 1;
+        Sm::new(0, &cfg, &UniformKernel::streaming(4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the 64-bit per-SM warp masks")]
+    fn more_schedulers_than_the_masks_hold_are_rejected() {
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.schedulers_per_sm = 64 / WARP_BIT_STRIDE + 1;
+        Sm::new(0, &cfg, &UniformKernel::streaming(4, 0));
     }
 
     #[test]

@@ -302,6 +302,8 @@ fn write_sm(
         live_warps: _,   // recomputed from the warps on restore
         version: _,      // relative only; restore resets to 0
         fill_scratch: _, // scratch
+        reject_mask: _,  // reject memo: derived, a restored SM starts cold
+        reject_line: _,  // (see `reject_mask`)
     } = sm;
     let _ = writeln!(out, "sm {id}");
     let _ = writeln!(out, "evseq {evseq}");

@@ -352,8 +352,18 @@ mod tests {
     use crate::cancel::CancelToken;
     use std::sync::atomic::AtomicU64;
 
+    /// Serialises the tests that move the process-wide helper count, so
+    /// `lease_returns_to_budget_on_drop` observes only its own lease.
+    static HELPER_COUNT: Mutex<()> = Mutex::new(());
+
+    fn helper_count_guard() -> std::sync::MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the count it guards stays exact.
+        HELPER_COUNT.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn all_items_run_exactly_once() {
+        let _serial = helper_count_guard();
         let mut pool = ThreadPool::with_forced_workers(3);
         assert_eq!(pool.workers(), 3);
         for items in [0usize, 1, 7, 64, 1000] {
@@ -367,6 +377,7 @@ mod tests {
 
     #[test]
     fn zero_worker_pool_runs_inline() {
+        let _serial = helper_count_guard();
         // Exhaust the budget so the pool gets no helpers.
         let hog = acquire_helpers(usize::MAX);
         let mut pool = ThreadPool::new(4);
@@ -381,6 +392,7 @@ mod tests {
 
     #[test]
     fn cancel_token_reaches_pool_workers() {
+        let _serial = helper_count_guard();
         let token = CancelToken::new();
         let _g = cancel::install(Some(token.clone()));
         let mut pool = ThreadPool::with_forced_workers(2);
@@ -396,6 +408,7 @@ mod tests {
 
     #[test]
     fn lease_returns_to_budget_on_drop() {
+        let _serial = helper_count_guard();
         let before = helpers_in_use();
         let lease = acquire_helpers(1);
         // On a 1-core budget the grant may be 0; either way drop restores.
@@ -407,6 +420,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _serial = helper_count_guard();
         let mut pool = ThreadPool::with_forced_workers(2);
         let r = catch_unwind(AssertUnwindSafe(|| {
             pool.run(8, |i| {

@@ -2,8 +2,9 @@
 //! the event-driven fast-forward run loop.
 
 use gpu_sim::{
-    CacheGeometry, Counters, FixedTuple, Gpu, GpuConfig, GpuStats, SetAssocCache, SetIndexing,
-    StepMode, UniformKernel, WarpTuple,
+    CacheGeometry, ControlCtx, Controller, Counters, FixedTuple, Gpu, GpuConfig, GpuStats, Instr,
+    InstructionStream, KernelSource, SetAssocCache, SetIndexing, StepMode, UniformKernel,
+    WarpTuple,
 };
 use proptest::prelude::*;
 
@@ -222,6 +223,150 @@ proptest! {
         prop_assert!(rf.0.l1_rejects > 0, "occupancy beyond the MSHRs must reject");
         prop_assert_eq!(run(StepMode::PerSm), rf.clone());
         prop_assert_eq!(run(StepMode::ParallelSm), rf.clone());
+        prop_assert_eq!(run(StepMode::EventDriven), rf);
+    }
+}
+
+/// A seeded load/store mix for L1 stress: half the loads stream through
+/// fresh per-warp lines (guaranteed misses), the other half and every
+/// store hit a small pool shared by all warps of the SM, so requests
+/// merge, run into the merge limit, hit resident lines and have them
+/// write-evicted under them.
+struct MixedKernel {
+    warps: usize,
+    seed: u64,
+    pool: u64,
+    store_pct: u64,
+    loads_per_sync: u64,
+}
+
+struct MixedStream {
+    state: u64,
+    fresh: u64,
+    pool_base: u64,
+    pool: u64,
+    store_pct: u64,
+    loads: u64,
+    loads_per_sync: u64,
+}
+
+impl KernelSource for MixedKernel {
+    fn stream_for(&self, sm: usize, scheduler: usize, warp: usize) -> Box<dyn InstructionStream> {
+        let uid = ((sm as u64) << 16) | ((scheduler as u64) << 8) | warp as u64;
+        Box::new(MixedStream {
+            state: (self.seed ^ (uid << 20)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            fresh: (uid + 1) << 32,
+            pool_base: (sm as u64 + 1) << 48,
+            pool: self.pool,
+            store_pct: self.store_pct,
+            loads: 0,
+            loads_per_sync: self.loads_per_sync,
+        })
+    }
+
+    fn warps_per_scheduler(&self) -> usize {
+        self.warps
+    }
+
+    fn n_pcs(&self) -> usize {
+        2
+    }
+}
+
+impl InstructionStream for MixedStream {
+    fn next_instr(&mut self) -> Option<Instr> {
+        if self.loads == self.loads_per_sync {
+            self.loads = 0;
+            return Some(Instr::SyncLoads);
+        }
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let r = self.state;
+        let shared = self.pool_base + (r >> 16) % self.pool;
+        Some(match r % 100 {
+            x if x < self.store_pct => Instr::Store {
+                line: shared,
+                pc: 1,
+            },
+            x if x < self.store_pct + 10 => Instr::Alu,
+            _ => {
+                self.loads += 1;
+                let line = if r & (1 << 8) == 0 {
+                    self.fresh += 1;
+                    self.fresh
+                } else {
+                    shared
+                };
+                Instr::Load { line, pc: 0 }
+            }
+        })
+    }
+}
+
+/// Re-steers every SM to a different tuple every `period` cycles, walking
+/// the whole `{N, p}` plane (including full occupancy) as it goes.
+struct Resteer {
+    period: u64,
+    seed: u64,
+}
+
+impl Controller for Resteer {
+    fn on_kernel_start(&mut self, ctx: &mut ControlCtx) {
+        ctx.set_tuple_all(WarpTuple::max(ctx.kernel_warps));
+    }
+
+    fn on_cycle(&mut self, ctx: &mut ControlCtx) {
+        if ctx.cycle.is_multiple_of(self.period) {
+            let k = ctx.cycle / self.period + self.seed;
+            let max = ctx.kernel_warps as u64;
+            let n = 1 + (k * 7) % max;
+            let p = 1 + (k * 3) % n;
+            ctx.set_tuple_all(WarpTuple::new(n as usize, p as usize, ctx.kernel_warps));
+        }
+    }
+
+    fn next_wake(&self, now: u64) -> Option<u64> {
+        Some((now / self.period + 1) * self.period)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Reject storms against tiny MSHR files and merge limits, with
+    /// shared lines, store-heavy mixes and a controller re-steering
+    /// tuples mid-storm: the regime of the SM's reject memo, which must
+    /// forget a line's rejects on its fill and on an allocation for it.
+    /// The memo runs in every step mode (debug builds cross-check each
+    /// memo hit against a fresh L1 probe), so the fast loops must still
+    /// match the reference.
+    #[test]
+    fn storm_stress_matches_reference(
+        mshrs in 1usize..=4,
+        merge_limit in 1usize..=2,
+        warps in 4usize..=24,
+        store_pct in 0u64..=40,
+        pool in 4u64..=256,
+        loads_per_sync in 1u64..=4,
+        sms in 1usize..=2,
+        period in 40u64..=600,
+        budget in 1_000u64..=5_000,
+        seed in 0u64..1_000,
+    ) {
+        let kernel = MixedKernel { warps, seed, pool, store_pct, loads_per_sync };
+        let run = |mode: StepMode| {
+            let mut cfg = GpuConfig::scaled(sms);
+            cfg.l1_mshrs = mshrs;
+            cfg.mshr_merge_limit = merge_limit;
+            cfg.step_mode = mode;
+            let mut gpu = Gpu::new(cfg, &kernel);
+            let res = gpu.run(&mut Resteer { period, seed }, budget);
+            (res.counters, gpu.cycle())
+        };
+        let rf = run(StepMode::Reference);
+        prop_assert!(rf.0.l1_rejects > 0, "a tiny MSHR file must reject");
+        prop_assert_eq!(run(StepMode::PerSm), rf.clone());
         prop_assert_eq!(run(StepMode::EventDriven), rf);
     }
 }
