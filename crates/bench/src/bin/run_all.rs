@@ -26,28 +26,11 @@
 //! every troubled job's attempt history lands in
 //! `results/run_all_failures.txt` (prose) and
 //! `results/run_all_failures.jsonl` (machine-readable, one JSON object
-//! per troubled job with worker attribution). `--fsck` re-validates the
-//! whole cache offline and reclaims orphaned worker leases. Exit codes:
-//! 0 clean, 1 hard failures, 3 pass after self-healing, 4 timeout-only
-//! failures (see "Failure handling & fault injection" in
-//! EXPERIMENTS.md).
-//!
-//! Distributed sweeps: `--workers N` drains the job graph cooperatively
-//! across N worker processes sharing `results/cache/` via crash-safe
-//! lease files — dead workers' claims are stolen by survivors, and the
-//! coordinator's final in-process pass keeps the exit-code contract.
-//! `--worker [--fabric-dir D] [--worker-id ID]` runs one standalone
-//! worker (joining from another terminal or host sharing the
-//! filesystem). See "Distributed sweeps" in EXPERIMENTS.md.
-//!
-//! Sweep daemon: `--connect [<socket>]` submits the plan to a running
-//! `poised` service instead of executing locally — the daemon admits,
-//! coalesces and schedules concurrent clients' plans over the same
-//! lease fabric, streams per-job progress back, and this process then
-//! renders from the daemon-warmed shared cache (byte-identical
-//! outputs). `--client`/`--priority` tag the submission; `--status`,
-//! `--daemon-cancel <id>` and `--daemon-shutdown [now]` manage the
-//! service. See "The sweep daemon" in EXPERIMENTS.md.
+//! per troubled job). `--fsck` re-validates the whole cache offline.
+//! Any other argument is rejected before anything runs. Exit codes:
+//! 0 clean, 1 bad arguments or hard failures, 3 pass after
+//! self-healing, 4 timeout-only failures (see "Failure handling & fault
+//! injection" in EXPERIMENTS.md).
 //!
 //! The legacy effort-knob environment variables (`POISE_SMS`,
 //! `POISE_KERNELS_CAP`, `POISE_TRAIN_CAP`, `POISE_RUN_CYCLES`) are

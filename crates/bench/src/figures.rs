@@ -30,9 +30,10 @@ use std::time::Instant;
 use gpu_sim::{KernelSource, SetIndexing, WarpTuple};
 use poise::experiment::{self, arithmetic_mean, harmonic_mean, Scheme, Setup};
 use poise::jobs::{
-    Engine, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore, RunReport, SampleSpec,
-    SimJob, TupleRunSpec,
+    Engine, JobTrouble, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore, RunReport,
+    SampleSpec, SimJob, TupleRunSpec,
 };
+use poise::json::{self, Json};
 use poise::plan::{Axis, ExperimentPlan, KnobOverlay, PlanExpansion, SweepPoint};
 use poise::policies::swl_tuple_from_grid;
 use poise::profiler::{GridSpec, ProfileWindow};
@@ -62,7 +63,7 @@ pub struct FigCtx {
     /// Load failures from the traces directory (`file: error`). The
     /// loadable traces still declare jobs, but `trace_eval`'s render
     /// fails while any trace is unreadable — a corrupt committed trace
-    /// must fail the run (and veto `--gc`), not silently shrink it.
+    /// must fail the run (and block `--gc`), not silently shrink it.
     pub trace_errors: Vec<String>,
 }
 
@@ -1820,13 +1821,11 @@ pub struct PlannedJobs {
     pub prefix_shared: usize,
 }
 
-/// The one planning path shared by `run_all` and the sweep daemon's
-/// planner (see [`poise::daemon::Planner`]): apply the overlay, select
-/// figures, expand every plan, reject sweeps that reach single-point
-/// renderers, and factor shared snapshot prefixes. Deterministic in its
-/// arguments — a daemon and a client expanding the same plan must
-/// derive the same job graph, or the client would re-simulate instead
-/// of rendering from the daemon-warmed cache.
+/// The planning path of `run_all` (and of the benchmark that times it):
+/// apply the overlay, select figures, expand every plan, reject sweeps
+/// that reach single-point renderers, and factor shared snapshot
+/// prefixes. Deterministic in its arguments, so the same invocation
+/// always derives the same job graph and cache keys.
 pub fn plan_jobs(
     base: KnobOverlay,
     sets: &[String],
@@ -1888,10 +1887,7 @@ pub fn plan_jobs(
     let mut jobs: Vec<SimJob> = expansions.iter().flat_map(|e| e.jobs.clone()).collect();
     // Prefix factoring: runs that differ only in their cycle horizon
     // collapse into one chained simulation plus per-horizon forks (a
-    // `run_cycles` sweep axis is the canonical producer). This must run
-    // on the shared declaration path — coordinator, fabric workers and
-    // the daemon each re-derive the same factored graph, so the
-    // manifest and the prefix cache keys agree across the fleet.
+    // `run_cycles` sweep axis is the canonical producer).
     let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every);
     if verbose && prefix_shared > 0 {
         eprintln!(
@@ -1917,9 +1913,59 @@ enum FigStatus {
     Skipped,
 }
 
+/// The flags `run_all` accepts, parsed strictly: an unknown `--` flag,
+/// a stray positional argument or a value flag without its value is an
+/// error, reported before any job runs.
+#[derive(Debug, Default, PartialEq)]
+struct RunAllArgs {
+    keep_going: bool,
+    list: bool,
+    gc: bool,
+    fsck: bool,
+    only: Option<Vec<String>>,
+    sets: Vec<String>,
+    sweeps: Vec<String>,
+    inject: Option<String>,
+}
+
+impl RunAllArgs {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut out = RunAllArgs::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || {
+                it.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .cloned()
+                    .ok_or_else(|| format!("{flag} needs an argument"))
+            };
+            match flag.as_str() {
+                "--keep-going" => out.keep_going = true,
+                "--list" => out.list = true,
+                "--gc" => out.gc = true,
+                "--fsck" => out.fsck = true,
+                "--only" => {
+                    out.only = Some(value()?.split(',').map(|s| s.trim().to_string()).collect())
+                }
+                "--set" => out.sets.push(value()?),
+                "--sweep" => out.sweeps.push(value()?),
+                "--inject" => out.inject = Some(value()?),
+                other => {
+                    return Err(format!(
+                        "unknown argument `{other}`; accepted flags: --keep-going, \
+                         --only <a,b,...>, --list, --gc, --fsck, --set <knob>=<value>, \
+                         --sweep <knob>=<v1,v2,...>, --inject <plan>"
+                    ))
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// One-command reproduction of the evaluation section: collect every
 /// figure's jobs up front, execute the deduplicated set once across
-/// cores, then render each figure. Flags:
+/// cores in-process, then render each figure. Flags:
 ///
 /// * `--keep-going` — render every figure even after failures (the
 ///   default stops at the first failing figure, like the old harness,
@@ -1945,157 +1991,40 @@ enum FigStatus {
 ///   with backoff, watchdog deadlines, cache quarantine) absorbs the
 ///   faults; surviving outputs are bit-identical to a fault-free pass;
 /// * `--fsck` — offline cache re-validation: parse and checksum every
-///   entry, quarantine invalid ones, remove stale temp files and
-///   orphaned job leases, then exit (failure exit if anything was
-///   corrupt — a second `--fsck` passes);
-/// * `--workers <N>` (or `--set workers=N`) — distributed sweep: spawn
-///   `N` worker processes that execute the job graph cooperatively over
-///   the shared cache via crash-safe leases (see [`poise::fabric`]),
-///   then run the authoritative in-process pass over the warmed store;
-/// * `--worker --fabric-dir <D> [--worker-id <id>]` — run as one fabric
-///   worker (what `--workers` spawns; usable standalone to grow a fleet
-///   by hand). Workers execute and report but render nothing.
-/// * `--set sim_threads=N` — step the SMs of each simulation on `N`
-///   threads (bit-identical to single-threaded; engine knob, shares the
-///   process thread budget with the fleet: each spawned worker gets
-///   `POISE_THREAD_BUDGET / (workers + 1)`).
-/// * `--connect [<socket>]` — submit this plan to a running sweep
-///   daemon (`poised`; default socket `results/daemon.sock`) instead of
-///   executing locally: the daemon coalesces it with other clients'
-///   submissions, executes shared jobs once, and streams progress back;
-///   the figures are then rendered locally from the shared cache.
-///   `--client <name>` and `--priority <n>` tag the submission. With no
-///   daemon listening, degrades to the ordinary in-process run;
-/// * `--status` — show queued/running submissions from a live daemon,
-///   or (headless) summarize job leases, the fabric manifest and the
-///   daemon event log;
-/// * `--daemon-shutdown [now]` — stop the daemon: drain the queue
-///   first, or cancel everything with `now`;
-/// * `--daemon-cancel <id>` — withdraw submission `<id>`; jobs shared
-///   with other live submissions keep running.
+///   entry, quarantine invalid ones, remove stale temp files, then exit
+///   (failure exit if anything was corrupt — a second `--fsck` passes).
+///
+/// Any other argument is rejected with exit code 1 before any job runs
+/// or any output is written.
 ///
 /// Exit codes (CI and scripts key off these):
 /// * `0` — clean pass;
-/// * `1` — figure or job failures (hard errors: panics, exhausted
-///   retries, dependency failures, render errors);
+/// * `1` — bad arguments, figure or job failures (hard errors: panics,
+///   exhausted retries, dependency failures, render errors);
 /// * `3` — every figure passed but the run needed self-healing
 ///   (retried-then-recovered jobs or quarantined cache corruption);
 /// * `4` — failures whose job-level causes are exclusively watchdog
 ///   timeouts (raise `--set job_deadline=...` and retry).
-///
-/// A worker process's exit reflects only its local view (`0` when it saw
-/// no hard job failures, `1` otherwise); the coordinator's exit is the
-/// authoritative one.
 pub fn run_all_main(args: &[String]) -> ExitCode {
-    let keep_going = args.iter().any(|a| a == "--keep-going");
-    let gc = args.iter().any(|a| a == "--gc");
-    if args.iter().any(|a| a == "--fsck") {
-        return fsck_main();
-    }
-    let worker_mode = args.iter().any(|a| a == "--worker");
-    let mut fabric_dir: Option<String> = None;
-    let mut worker_id: Option<String> = None;
-    let mut sets: Vec<String> = Vec::new();
-    let mut sweeps: Vec<String> = Vec::new();
-    let mut inject: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        let value = |flag: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs an argument"))
-        };
-        match a.as_str() {
-            "--set" => match value("--set") {
-                Ok(v) => sets.push(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sweep" => match value("--sweep") {
-                Ok(v) => sweeps.push(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--inject" => match value("--inject") {
-                Ok(v) => inject = Some(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // Sugar for `--set workers=N`, through the same knob so the
-            // value is validated once and recorded in the overlay.
-            "--workers" => match value("--workers") {
-                Ok(v) => sets.push(format!("workers={v}")),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fabric-dir" => match value("--fabric-dir") {
-                Ok(v) => fabric_dir = Some(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--worker-id" => match value("--worker-id") {
-                Ok(v) => worker_id = Some(v),
-                Err(e) => {
-                    eprintln!("[run_all] {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => {}
+    let args = match RunAllArgs::parse(args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("[run_all] {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let faults = match inject.as_deref().map(FaultPlan::parse).transpose() {
+    };
+    let faults = match args.inject.as_deref().map(FaultPlan::parse).transpose() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("[run_all] --inject: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Daemon client flags (see `poise::daemon` and EXPERIMENTS.md §
-    // "The sweep daemon"). `--connect` takes an optional socket path;
-    // the default lives beside the shared store.
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    };
-    let socket: std::path::PathBuf = flag_value("--connect")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::client::default_socket);
-    let connect = args.iter().any(|a| a == "--connect");
-    if args.iter().any(|a| a == "--status") {
-        return crate::client::status_main(&socket);
+    if args.fsck {
+        return fsck_main();
     }
-    if args.iter().any(|a| a == "--daemon-shutdown") {
-        let now = flag_value("--daemon-shutdown").as_deref() == Some("now");
-        return crate::client::shutdown_main(&socket, now);
-    }
-    if args.iter().any(|a| a == "--daemon-cancel") {
-        return match flag_value("--daemon-cancel") {
-            Some(id) => crate::client::cancel_main(&socket, &id),
-            None => {
-                eprintln!("[run_all] --daemon-cancel needs a submission id");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let only: Option<Vec<String>> = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect());
-    if args.iter().any(|a| a == "--list") {
+    let only = args.only;
+    if args.list {
         for f in registry() {
             if name_matches(only.as_deref(), f.name) {
                 println!("{}", f.name);
@@ -2105,8 +2034,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     }
 
     // The knob overlay: deprecated env aliases first, then --set
-    // assignments (CLI wins). Parsed exactly once, on the planning path
-    // shared with the daemon's planner.
+    // assignments (CLI wins). Parsed exactly once, on the planning path.
     let env = match crate::env_overlay() {
         Ok(o) => o,
         Err(e) => {
@@ -2115,7 +2043,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         }
     };
     let t0 = Instant::now();
-    let planned = match plan_jobs(env, &sets, &sweeps, only.as_deref(), true) {
+    let planned = match plan_jobs(env, &args.sets, &args.sweeps, only.as_deref(), true) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("[run_all] {e}");
@@ -2147,57 +2075,12 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         engine.set_faults(Some(plan));
     }
 
-    // Fabric worker mode: execute cooperatively over the shared cache,
-    // publish a report, render nothing (the coordinator renders).
-    if worker_mode {
-        let dir = fabric_dir
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| results_dir().join("fabric"));
-        let id = worker_id.unwrap_or_else(|| format!("w{}", std::process::id()));
-        return worker_main(&engine, &jobs, &ctx.setup, &dir, &id);
-    }
-
-    // Daemon mode: hand the plan to a running `poised`, stream its
-    // progress, then fall through to the in-process pass — by then
-    // every job answers from the shared cache, so the figures rendered
-    // below are byte-identical to a standalone run's. An unreachable or
-    // rejecting daemon degrades to the ordinary in-process run.
-    let mut daemon_ran = false;
-    if connect {
-        let req = poise::daemon::SubmitRequest {
-            client: flag_value("--client")
-                .or_else(|| std::env::var("USER").ok())
-                .unwrap_or_else(|| "anon".to_string()),
-            priority: flag_value("--priority")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0),
-            set: sets.clone(),
-            sweep: sweeps.clone(),
-            only: only.clone(),
-        };
-        match crate::client::submit_and_stream(&socket, &req) {
-            Ok(out) => {
-                eprintln!(
-                    "[run_all] daemon submission {} finished: {} ({} executed, {} cache \
-                     hit(s), {} failed); rendering from the shared store",
-                    out.id, out.outcome, out.executed, out.cache_hits, out.failed
-                );
-                daemon_ran = true;
-            }
-            Err(e) => eprintln!("[run_all] {e}; degrading to the in-process run"),
-        }
-    }
-
     eprintln!(
         "[run_all] {} figures declared {} jobs; executing the deduplicated set...",
         figures.len(),
         jobs.len()
     );
-    let (store, report) = if ctx.setup.workers > 0 && !daemon_ran {
-        run_fleet(&engine, &jobs, &ctx.setup, args)
-    } else {
-        engine.run(&jobs)
-    };
+    let (store, report) = engine.run(&jobs);
 
     // Phase 2: render in order.
     let mut statuses: Vec<(&str, FigStatus)> = Vec::new();
@@ -2214,7 +2097,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
             Err(e) => {
                 eprintln!("[run_all] {} FAILED: {e}", figure.name);
                 statuses.push((figure.name, FigStatus::Fail(e)));
-                if !keep_going {
+                if !args.keep_going {
                     stop = true;
                 }
             }
@@ -2229,13 +2112,13 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
         eprintln!("[run_all] could not write {}: {e}", failures_path.display());
     }
     // The machine-readable twin: one JSON object per troubled job with
-    // worker id, spec key, failure class and per-attempt timings, so
-    // chaos tests and CI assert on fields instead of scraping prose.
+    // spec key, failure class and per-attempt timings, so tests and CI
+    // assert on fields instead of scraping prose.
     let jsonl_path = results_dir().join("run_all_failures.jsonl");
     let jsonl: String = report
         .trouble
         .iter()
-        .map(|t| poise::fabric::trouble_json(t).render() + "\n")
+        .map(|t| trouble_json(t).render() + "\n")
         .collect();
     if let Err(e) = std::fs::write(&jsonl_path, jsonl) {
         eprintln!("[run_all] could not write {}: {e}", jsonl_path.display());
@@ -2294,7 +2177,7 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     // set no longer references. Only when every requested figure ran —
     // a failed/skipped figure's entries must survive for the retry —
     // and never under --only, which would see a partial job set.
-    if gc {
+    if args.gc {
         let all_ran = statuses
             .iter()
             .all(|(_, s)| matches!(s, FigStatus::Pass(_)));
@@ -2349,162 +2232,18 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `run_all --worker`: one fabric worker process (see [`poise::fabric`]).
-/// Verifies its job-graph expansion against the coordinator's manifest
-/// (publishing one first when run standalone), drains the graph
-/// cooperatively, and publishes its report. Renders nothing.
-fn worker_main(
-    engine: &Engine,
-    jobs: &[SimJob],
-    setup: &Setup,
-    fabric_dir: &std::path::Path,
-    worker_id: &str,
-) -> ExitCode {
-    use poise::fabric;
-    if fabric::verify_manifest(fabric_dir, jobs).is_err() {
-        // Standalone worker (no coordinator): publish the manifest for
-        // later-joining peers, then re-verify — a real skew (peers
-        // expanding a different graph) still fails loudly.
-        let _ = fabric::write_manifest(fabric_dir, jobs);
-        if let Err(e) = fabric::verify_manifest(fabric_dir, jobs) {
-            eprintln!("[{worker_id}] {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let cfg = fabric::FabricConfig::for_worker(fabric_dir, worker_id, setup);
-    let (_store, report) = fabric::run_worker(engine, jobs, &cfg);
-    if let Err(e) = fabric::write_worker_report(fabric_dir, worker_id, &report) {
-        eprintln!("[{worker_id}] could not write report: {e}");
-    }
-    // A worker's exit reflects its local view only; the coordinator's
-    // final pass decides the authoritative outcome.
-    if report.failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `run_all --workers N`: the fabric coordinator. Publishes the job
-/// manifest, spawns `N` worker processes re-running this invocation with
-/// `--worker`, waits them out (dead workers are expected under chaos —
-/// survivors steal their leases), then runs the authoritative in-process
-/// pass over the warmed store and folds the worker reports in for
-/// attribution.
-fn run_fleet(
-    engine: &Engine,
-    jobs: &[SimJob],
-    setup: &Setup,
-    args: &[String],
-) -> (ResultStore, RunReport) {
-    use poise::fabric;
-    use std::collections::HashSet;
-
-    let fabric_dir = results_dir().join("fabric");
-    let _ = std::fs::remove_dir_all(&fabric_dir);
-    let _ = std::fs::create_dir_all(fabric_dir.join("reports"));
-    if let Err(e) = fabric::write_manifest(&fabric_dir, jobs) {
-        eprintln!("[fabric] cannot write manifest: {e}; running in-process instead");
-        return engine.run(jobs);
-    }
-    // Startup sweep: leases left by a previous (crashed) fleet are all
-    // orphans — ours is the only fleet on this store now.
-    let reaped0 = engine.cache().reap_stale_leases(0.0) as u64;
-    if reaped0 > 0 {
-        eprintln!("[fabric] reaped {reaped0} orphaned lease(s) at startup");
-    }
-
-    // Divide the process thread budget across the fleet (coordinator +
-    // N workers) so per-run `sim_threads` pools compose with process
-    // fan-out instead of oversubscribing the host.
-    let share = (gpu_sim::threadpool::thread_budget() / (setup.workers + 1)).max(1);
-    let mut children = Vec::new();
-    match std::env::current_exe() {
-        Ok(exe) => {
-            for i in 1..=setup.workers {
-                let id = format!("w{i}");
-                match std::process::Command::new(&exe)
-                    .args(args)
-                    .arg("--worker")
-                    .arg("--fabric-dir")
-                    .arg(&fabric_dir)
-                    .args(["--worker-id", &id])
-                    .env(gpu_sim::threadpool::BUDGET_ENV, share.to_string())
-                    .spawn()
-                {
-                    Ok(c) => children.push((id, c)),
-                    Err(e) => eprintln!("[fabric] could not spawn {id}: {e}"),
-                }
-            }
-        }
-        Err(e) => eprintln!("[fabric] current_exe: {e}; running in-process only"),
-    }
-    eprintln!(
-        "[fabric] coordinator: {} worker(s) over the shared cache",
-        children.len()
-    );
-    for (id, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => eprintln!("[fabric] {id} exited with {status}"),
-            Err(e) => eprintln!("[fabric] waiting on {id} failed: {e}"),
-        }
-    }
-
-    // Every worker has exited, so any lease still on disk is orphaned
-    // (held by a killed worker). Reap before the final pass.
-    let reaped1 = engine.cache().reap_stale_leases(0.0) as u64;
-    // The authoritative pass: resolves the whole graph from the warmed
-    // store in-process, re-executing whatever dying workers left
-    // behind. Kill faults never apply here (see FabricConfig), so this
-    // pass always terminates.
-    let (store, mut report) = engine.run(jobs);
-    report.workers = setup.workers;
-    report.reaped = reaped0 + reaped1;
-
-    // Fold worker reports in: attribution lines, fabric counters, and
-    // re-attribution of work (a job a worker executed is a cache hit to
-    // the final pass).
-    let mut seen: HashSet<String> = report.trouble.iter().map(|t| t.spec_hash.clone()).collect();
-    for (id, w) in fabric::read_worker_reports(&fabric_dir) {
-        eprintln!(
-            "[fabric] {id}: executed={} cache_hits={} failed={} stolen={} lost={} wall={:.1}s",
-            w.executed,
-            w.cache_hits,
-            w.failed.len(),
-            w.stolen,
-            w.lost,
-            w.wall.as_secs_f64()
-        );
-        report.cache_hits = report.cache_hits.saturating_sub(w.executed);
-        report.executed += w.executed;
-        report.retried += w.retried;
-        report.recovered += w.recovered;
-        report.stolen += w.stolen;
-        report.lost += w.lost;
-        report.corrupt += w.corrupt;
-        report.quarantined += w.quarantined;
-        for t in w.trouble {
-            if seen.insert(t.spec_hash.clone()) {
-                report.trouble.push(t);
-            }
-        }
-    }
-    (store, report)
-}
-
 /// `run_all --fsck`: offline re-validation of every cache entry (see
-/// [`Engine::fsck`]), plus reclamation of tmp orphans and job leases
-/// left by killed workers. Corrupt entries are quarantined, so a
-/// failing fsck leaves the store clean and a second pass succeeds.
+/// [`Engine::fsck`]) plus removal of tmp orphans left by killed writers.
+/// Corrupt entries are quarantined, so a failing fsck leaves the store
+/// clean and a second pass succeeds.
 fn fsck_main() -> ExitCode {
     let engine = Engine::from_env(&results_dir());
     match engine.fsck() {
         Ok(r) => {
             println!(
                 "[run_all] fsck: {} entries scanned, {} valid, {} corrupt (quarantined), \
-                 {} stale temp file(s) removed, {} orphaned lease(s) reclaimed",
-                r.scanned, r.valid, r.corrupt, r.tmp_removed, r.leases_removed
+                 {} stale temp file(s) removed",
+                r.scanned, r.valid, r.corrupt, r.tmp_removed
             );
             if r.corrupt > 0 {
                 ExitCode::FAILURE
@@ -2561,4 +2300,114 @@ fn failures_report(engine: &Engine, report: &RunReport) -> String {
         }
     }
     s
+}
+
+/// One [`JobTrouble`] as a JSON object: a line of
+/// `results/run_all_failures.jsonl`.
+fn trouble_json(t: &JobTrouble) -> Json {
+    let attempts = t
+        .attempts
+        .iter()
+        .map(|a| {
+            json::obj(vec![
+                ("class", Json::Str(a.class.name().to_string())),
+                ("error", Json::Str(a.error.clone())),
+                ("backoff_ms", Json::Num(a.backoff_ms as f64)),
+                ("wall_ms", Json::Num(a.wall_ms as f64)),
+            ])
+        })
+        .collect();
+    json::obj(vec![
+        ("label", Json::Str(t.label.clone())),
+        ("spec_hash", Json::Str(t.spec_hash.clone())),
+        ("outcome", Json::Str(t.outcome.name().to_string())),
+        ("attempts", Json::Arr(attempts)),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use poise::jobs::{AttemptRecord, FailClass, JobOutcome};
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn run_all_args_accept_the_surviving_flags() {
+        let a = RunAllArgs::parse(&args(&[
+            "--keep-going",
+            "--only",
+            "fig07, fig12",
+            "--set",
+            "sms=2",
+            "--sweep",
+            "sms=1,2",
+            "--inject",
+            "seed=1,rate=0.1",
+            "--gc",
+            "--list",
+            "--fsck",
+        ]))
+        .unwrap();
+        assert_eq!(
+            a,
+            RunAllArgs {
+                keep_going: true,
+                list: true,
+                gc: true,
+                fsck: true,
+                only: Some(args(&["fig07", "fig12"])),
+                sets: args(&["sms=2"]),
+                sweeps: args(&["sms=1,2"]),
+                inject: Some("seed=1,rate=0.1".to_string()),
+            }
+        );
+        assert_eq!(RunAllArgs::parse(&[]).unwrap(), RunAllArgs::default());
+    }
+
+    #[test]
+    fn run_all_args_reject_unknown_and_valueless_flags() {
+        for bad in [
+            &["--workers", "2"][..],
+            &["--connect"],
+            &["--bogus"],
+            &["stray"],
+            &["--set"],
+            &["--only", "--keep-going"],
+        ] {
+            assert!(RunAllArgs::parse(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn trouble_renders_to_one_fixed_jsonl_line() {
+        let t = JobTrouble {
+            label: "run gto/k0".to_string(),
+            spec_hash: "ab12".to_string(),
+            attempts: vec![
+                AttemptRecord {
+                    class: FailClass::Transient,
+                    error: "injected fault: transient error".to_string(),
+                    backoff_ms: 50,
+                    wall_ms: 3,
+                },
+                AttemptRecord {
+                    class: FailClass::Timeout,
+                    error: "timed out after 1.0s (deadline 1.0s)".to_string(),
+                    backoff_ms: 0,
+                    wall_ms: 1000,
+                },
+            ],
+            outcome: JobOutcome::TimedOut,
+        };
+        assert_eq!(
+            trouble_json(&t).render(),
+            "{\"label\":\"run gto/k0\",\"spec_hash\":\"ab12\",\"outcome\":\"timed out\",\
+             \"attempts\":[{\"class\":\"transient\",\"error\":\"injected fault: transient \
+             error\",\"backoff_ms\":50,\"wall_ms\":3},{\"class\":\"timeout\",\"error\":\
+             \"timed out after 1.0s (deadline 1.0s)\",\"backoff_ms\":0,\"wall_ms\":1000}]}"
+        );
+    }
 }

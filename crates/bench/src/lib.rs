@@ -18,7 +18,6 @@
 //! [`Setup`] by applying a knob overlay to the pure default, plus small
 //! text/table formatting helpers.
 
-pub mod client;
 pub mod figures;
 
 use std::fmt::Write as _;

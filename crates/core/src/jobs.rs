@@ -552,8 +552,7 @@ pub enum SimJob {
     /// but its output is the machine + controller snapshot blob at
     /// `run_cycles`, content-addressed in the cache like any other job
     /// output. Runs (and deeper prefixes) whose declared chain contains
-    /// this barrier fork from the blob instead of re-simulating the span
-    /// — on any worker, since the cache is the fabric's shared medium.
+    /// this barrier fork from the blob instead of re-simulating the span.
     Prefix(KernelRunSpec),
 }
 
@@ -1278,17 +1277,13 @@ impl ResultStore {
 pub enum FailClass {
     /// The job panicked (caught by the engine's isolation layer).
     Panic,
-    /// A transient error (in practice: injected; a real fabric would map
-    /// flaky I/O here). Retryable.
+    /// A transient error (in practice: injected; flaky I/O would map
+    /// here). Retryable.
     Transient,
     /// The watchdog cancelled the attempt past its deadline. Retryable.
     Timeout,
     /// An upstream dependency failed; never attempted.
     Dependency,
-    /// The engine's veto gate refused the job (its submission was
-    /// cancelled — see [`Engine::veto`]). Terminal by construction:
-    /// retrying a job nobody wants would only burn the budget.
-    Cancelled,
 }
 
 impl FailClass {
@@ -1299,19 +1294,6 @@ impl FailClass {
             FailClass::Transient => "transient",
             FailClass::Timeout => "timeout",
             FailClass::Dependency => "dependency",
-            FailClass::Cancelled => "cancelled",
-        }
-    }
-
-    /// Inverse of [`FailClass::name`], for parsing worker reports.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "panic" => Some(FailClass::Panic),
-            "transient" => Some(FailClass::Transient),
-            "timeout" => Some(FailClass::Timeout),
-            "dependency" => Some(FailClass::Dependency),
-            "cancelled" => Some(FailClass::Cancelled),
-            _ => None,
         }
     }
 }
@@ -1326,8 +1308,8 @@ pub struct AttemptRecord {
     /// Backoff slept after this attempt before the next one (0 when the
     /// attempt was terminal).
     pub backoff_ms: u64,
-    /// Wall milliseconds the attempt itself ran before failing (0 for
-    /// synthetic records, e.g. a lease-steal marker).
+    /// Wall milliseconds the attempt itself ran before failing (0 for a
+    /// dependency failure, which never ran).
     pub wall_ms: u64,
 }
 
@@ -1351,16 +1333,6 @@ impl JobOutcome {
             JobOutcome::TimedOut => "timed out",
         }
     }
-
-    /// Inverse of [`JobOutcome::name`], for parsing worker reports.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "recovered" => Some(JobOutcome::Recovered),
-            "failed" => Some(JobOutcome::Failed),
-            "timed out" => Some(JobOutcome::TimedOut),
-            _ => None,
-        }
-    }
 }
 
 /// The full failure history of one troubled job, for the structured
@@ -1369,12 +1341,9 @@ impl JobOutcome {
 pub struct JobTrouble {
     /// The job's progress label.
     pub label: String,
-    /// SHA-256 of the job's spec text — the stable cross-process job
-    /// identity (the full cache key needs dependency outputs).
+    /// SHA-256 of the job's spec text — the stable job identity (the
+    /// full cache key needs dependency outputs).
     pub spec_hash: String,
-    /// Which worker finally disposed of the job: `"local"` for the
-    /// in-process engine, the worker id under the fabric.
-    pub worker: String,
     /// Every failed attempt, in order.
     pub attempts: Vec<AttemptRecord>,
     /// Where the job ended up.
@@ -1410,16 +1379,6 @@ pub struct RunReport {
     /// Failure history of every troubled job — recovered, failed and
     /// timed-out alike — for the structured failures report.
     pub trouble: Vec<JobTrouble>,
-    /// Leases this run stole from stale owners (fabric only).
-    pub stolen: u64,
-    /// Completed executions discarded because the lease was lost
-    /// mid-run (fabric only; never counted in `executed`).
-    pub lost: u64,
-    /// Orphaned leases reaped at startup / shutdown (fabric only).
-    pub reaped: u64,
-    /// Workers that contributed to this report (0 = plain in-process
-    /// run, which omits the fabric counters from the summary line).
-    pub workers: usize,
     /// Wall-clock of the engine run.
     pub wall: Duration,
 }
@@ -1455,12 +1414,6 @@ impl RunReport {
         if self.recovered > 0 {
             s.push_str(&format!(" recovered={}", self.recovered));
         }
-        if self.workers > 0 {
-            s.push_str(&format!(
-                " workers={} stolen={} lost={} reaped={}",
-                self.workers, self.stolen, self.lost, self.reaped
-            ));
-        }
         s.push_str(&format!(
             " hit_rate={:.1}% corrupt={} wall={:.1}s",
             100.0 * self.hit_rate(),
@@ -1486,38 +1439,9 @@ pub enum JobStatus {
     Recovered,
     /// All attempts exhausted (or the failure was terminal).
     Failed,
-    /// Refused by the veto gate: every subscriber cancelled.
-    Cancelled,
 }
 
 impl JobStatus {
-    /// Stable display name (the protocol renders this).
-    pub fn name(self) -> &'static str {
-        match self {
-            JobStatus::Started => "started",
-            JobStatus::Retried => "retried",
-            JobStatus::Hit => "hit",
-            JobStatus::Done => "done",
-            JobStatus::Recovered => "recovered",
-            JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
-        }
-    }
-
-    /// Inverse of [`JobStatus::name`], for protocol parsing.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "started" => Some(JobStatus::Started),
-            "retried" => Some(JobStatus::Retried),
-            "hit" => Some(JobStatus::Hit),
-            "done" => Some(JobStatus::Done),
-            "recovered" => Some(JobStatus::Recovered),
-            "failed" => Some(JobStatus::Failed),
-            "cancelled" => Some(JobStatus::Cancelled),
-            _ => None,
-        }
-    }
-
     /// Whether this status resolves the job (exactly one terminal event
     /// is emitted per resolved job; `Started`/`Retried` may repeat).
     pub fn is_terminal(self) -> bool {
@@ -1526,22 +1450,20 @@ impl JobStatus {
 }
 
 /// One job-lifecycle event, emitted through the engine's
-/// [`ProgressSink`] as execution proceeds (the daemon's per-client
-/// progress streams ride on these).
+/// [`ProgressSink`] as execution proceeds.
 #[derive(Debug, Clone)]
 pub struct JobEvent {
     /// The job's progress label.
     pub label: String,
-    /// SHA-256 of the job's spec text — the stable job identity the
-    /// daemon's submissions subscribe on.
+    /// SHA-256 of the job's spec text — the stable job identity.
     pub spec_hash: String,
     /// What happened.
     pub status: JobStatus,
-    /// Failed attempts so far (cumulative across lease owners).
+    /// Failed attempts so far.
     pub attempts: u32,
     /// Wall seconds of the resolving execution (0 while not terminal).
     pub wall: f64,
-    /// The failure message, for `Failed`/`Cancelled`/`Retried`.
+    /// The failure message, for `Failed`/`Retried`.
     pub error: Option<String>,
 }
 
@@ -1551,18 +1473,13 @@ pub struct JobEvent {
 pub trait ProgressSink: Send + Sync {
     /// One lifecycle event. Exactly one terminal event per resolved job
     /// (see [`JobStatus::is_terminal`]); `Started`/`Retried` may repeat
-    /// across attempts and lease owners.
+    /// across attempts.
     fn job_event(&self, event: &JobEvent);
 }
 
-/// Cancellation predicate consulted by spec hash before each attempt
-/// (`true` = the job was withdrawn and must not execute).
-pub type VetoFn = dyn Fn(&str) -> bool + Send + Sync;
-
 /// The deduplicated dependency closure of `jobs` as
 /// `(spec_hash, label)` pairs in stable execution order — the identity
-/// set the daemon coalesces submissions on (two submissions overlap
-/// exactly where these hashes collide).
+/// set [`JobEvent::spec_hash`] refers to.
 pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
     let JobGraph { by_spec, order } = expand_graph(jobs);
     order
@@ -1578,9 +1495,9 @@ pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
 /// controller barriers (see `gpu_sim::cancel`), so the worker unwinds at
 /// the next epoch boundary instead of wedging the wave.
 #[derive(Default)]
-pub(crate) struct Watchdog {
+struct Watchdog {
     entries: Mutex<Vec<(CancelToken, Instant)>>,
-    pub(crate) stop: AtomicBool,
+    stop: AtomicBool,
 }
 
 impl Watchdog {
@@ -1598,7 +1515,7 @@ impl Watchdog {
             .retain(|(t, _)| !t.same_as(token));
     }
 
-    pub(crate) fn patrol(&self) {
+    fn patrol(&self) {
         while !self.stop.load(Ordering::Relaxed) {
             let now = Instant::now();
             self.entries
@@ -1617,19 +1534,16 @@ impl Watchdog {
     }
 }
 
-/// The deduplicated dependency closure of a requested job set, in the
-/// stable execution order both the local engine and every fabric worker
-/// derive independently (the fabric distributes *work*, not job
-/// descriptions: each worker re-expands the same graph from the same
-/// invocation — see [`crate::fabric`]).
-pub(crate) struct JobGraph {
-    pub(crate) by_spec: HashMap<String, SimJob>,
-    pub(crate) order: Vec<String>,
+/// The deduplicated dependency closure of a requested job set, in
+/// stable execution order.
+struct JobGraph {
+    by_spec: HashMap<String, SimJob>,
+    order: Vec<String>,
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
 /// canonical spec, ordered by wave then expansion order.
-pub(crate) fn expand_graph(jobs: &[SimJob]) -> JobGraph {
+fn expand_graph(jobs: &[SimJob]) -> JobGraph {
     let mut by_spec: HashMap<String, SimJob> = HashMap::new();
     let mut order: Vec<String> = Vec::new();
     let mut worklist: Vec<SimJob> = jobs.to_vec();
@@ -1666,9 +1580,8 @@ pub(crate) fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// `snapshot_every > 0` additionally threads periodic barrier cycles
 /// (multiples of the knob, below each group's longest horizon) into
 /// every chain. No prefix jobs are materialised for these; runs publish
-/// blobs as they pass, so an interrupted or watchdog-killed run — or a
-/// fabric worker picking up its stolen lease — resumes from the last
-/// checkpoint instead of cycle 0.
+/// blobs as they pass, so an interrupted or watchdog-killed run resumes
+/// from the last checkpoint instead of cycle 0.
 ///
 /// Random-restart runs never factor: their output averages several
 /// seeded reruns of the same span, which has no single shareable
@@ -1749,28 +1662,21 @@ pub fn factor_prefixes(jobs: &mut Vec<SimJob>, snapshot_every: u64) -> usize {
 
 /// A job's cache identity, resolvable once its dependencies are in the
 /// store (the key hashes dependency-output digests).
-pub(crate) struct JobIdentity {
-    pub(crate) kind: &'static str,
-    pub(crate) spec: String,
-    /// SHA-256 of the spec text alone — the stable pre-dependency
-    /// identity used by fault plans, manifests and failure reports.
-    pub(crate) spec_hash: String,
+struct JobIdentity {
+    kind: &'static str,
+    spec: String,
     /// The full cache key (spec + dependency digests).
-    pub(crate) key: String,
+    key: String,
 }
 
 /// What [`Engine::run_one`] hands back to the wave loop.
-pub(crate) struct Disposition {
-    pub(crate) result: Result<JobOutput, String>,
-    pub(crate) was_hit: bool,
-    pub(crate) wall: f64,
+struct Disposition {
+    result: Result<JobOutput, String>,
+    was_hit: bool,
+    wall: f64,
     /// Failed attempts, in order (empty for a clean first-attempt
     /// success or a cache hit).
-    pub(crate) attempts: Vec<AttemptRecord>,
-    /// The execution succeeded but the store gate refused it (the
-    /// fabric's lease was stolen mid-run): the result was discarded and
-    /// must not be counted as executed.
-    pub(crate) lost: bool,
+    attempts: Vec<AttemptRecord>,
 }
 
 /// The experiment engine: expands, deduplicates, caches and executes
@@ -1796,26 +1702,15 @@ pub struct Engine {
     /// First backoff; doubles per retry (`base × 2^attempt`).
     pub backoff_base: Duration,
     /// External observer of job lifecycle events (`None` = silent).
-    /// The daemon installs one to stream per-client progress.
     pub progress: Option<Arc<dyn ProgressSink>>,
-    /// Cancellation gate: `true` for a spec hash means the job was
-    /// cancelled (every subscriber withdrew) and must not execute.
-    /// Checked before each attempt; a veto mid-flight is classified
-    /// [`FailClass::Cancelled`] (terminal). `None` = nothing vetoed.
-    pub veto: Option<Arc<VetoFn>>,
-    /// Cancel tokens of attempts executing right now, by spec hash —
-    /// [`Engine::cancel_spec`] cancels through here so a cooperative
-    /// cancellation interrupts the running simulation at its next
-    /// barrier instead of waiting the attempt out.
-    inflight: Mutex<HashMap<String, CancelToken>>,
 }
 
 /// Detail payload for [`Engine::emit`] (attempt count, wall, error).
 #[derive(Default)]
-pub(crate) struct EventDetail {
-    pub(crate) attempts: u32,
-    pub(crate) wall: f64,
-    pub(crate) error: Option<String>,
+struct EventDetail {
+    attempts: u32,
+    wall: f64,
+    error: Option<String>,
 }
 
 /// One resolved prefix barrier: the cycle and the cache coordinates of
@@ -1828,8 +1723,8 @@ struct PrefixPoint {
 
 /// The engine's [`PrefixStore`]: snapshot blobs are ordinary cache
 /// entries (kind `prefix`), so prefix sharing inherits the cache's whole
-/// story — content addressing, checksums, corruption quarantine, fsck,
-/// gc, and cross-worker sharing through the fabric's shared directory.
+/// story — content addressing, checksums, corruption quarantine, fsck
+/// and gc.
 struct PrefixIo<'a> {
     cache: &'a Cache,
     boundaries: Vec<u64>,
@@ -1884,8 +1779,6 @@ impl Engine {
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
             progress: None,
-            veto: None,
-            inflight: Mutex::new(HashMap::new()),
         }
     }
 
@@ -1917,7 +1810,7 @@ impl Engine {
     }
 
     /// Emit one lifecycle event through the progress sink, if any.
-    pub(crate) fn emit(&self, label: &str, spec_hash: &str, status: JobStatus, d: EventDetail) {
+    fn emit(&self, label: &str, spec_hash: &str, status: JobStatus, d: EventDetail) {
         if let Some(sink) = &self.progress {
             sink.job_event(&JobEvent {
                 label: label.to_string(),
@@ -1927,27 +1820,6 @@ impl Engine {
                 wall: d.wall,
                 error: d.error,
             });
-        }
-    }
-
-    /// Whether the veto gate refuses `spec_hash` (its submission was
-    /// cancelled). `None` gate = nothing vetoed.
-    fn vetoed(&self, spec_hash: &str) -> bool {
-        self.veto.as_ref().is_some_and(|v| v(spec_hash))
-    }
-
-    /// Cooperatively cancel the attempt of `spec_hash` executing right
-    /// now, if any: its token is cancelled, so the simulation unwinds
-    /// at the next controller barrier. Pair with a [`Engine::veto`]
-    /// gate that refuses the hash, or the engine will simply retry.
-    pub fn cancel_spec(&self, spec_hash: &str) {
-        if let Some(token) = self
-            .inflight
-            .lock()
-            .expect("inflight registry")
-            .get(spec_hash)
-        {
-            token.cancel();
         }
     }
 
@@ -2002,7 +1874,7 @@ impl Engine {
             let results: Vec<(String, Disposition)> =
                 crate::parallel::parallel_map(&wave_jobs, |job| {
                     let jt = Instant::now();
-                    let d = self.run_one(job, &store, &watchdog, 0, None);
+                    let d = self.run_one(job, &store, &watchdog);
                     let i = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
@@ -2033,7 +1905,6 @@ impl Engine {
                         report.trouble.push(JobTrouble {
                             label,
                             spec_hash: sha256_hex(&spec),
-                            worker: "local".to_string(),
                             attempts: d.attempts,
                             outcome: JobOutcome::Recovered,
                         });
@@ -2052,7 +1923,6 @@ impl Engine {
                         report.trouble.push(JobTrouble {
                             label,
                             spec_hash: sha256_hex(&spec),
-                            worker: "local".to_string(),
                             attempts: d.attempts,
                             outcome: if timed_out {
                                 JobOutcome::TimedOut
@@ -2084,11 +1954,7 @@ impl Engine {
     /// Resolve a job's cache identity against `store` (dependencies must
     /// already be resolved there — their output digests enter the key).
     /// `Err` carries the dependency-failure message.
-    pub(crate) fn identify(
-        &self,
-        job: &SimJob,
-        store: &ResultStore,
-    ) -> Result<JobIdentity, String> {
+    fn identify(&self, job: &SimJob, store: &ResultStore) -> Result<JobIdentity, String> {
         let mut dep_digests = String::new();
         for dep in &job.deps() {
             match store.get(dep) {
@@ -2099,7 +1965,6 @@ impl Engine {
         let spec = job.spec_text();
         Ok(JobIdentity {
             kind: job.kind(),
-            spec_hash: sha256_hex(&spec),
             key: sha256_hex(&format!("{CACHE_VERSION}\n{spec}--deps--\n{dep_digests}")),
             spec,
         })
@@ -2109,8 +1974,7 @@ impl Engine {
     /// barrier cycle maps to the synthetic [`SimJob::Prefix`] at that
     /// boundary, identified exactly like a real job (spec text + dep
     /// digests), so a chain entry and the standalone prefix job the
-    /// factoring emitted address the same cache entry — on this worker
-    /// or any other sharing the cache. `None` when the job has no chain
+    /// factoring emitted address the same cache entry. `None` when the job has no chain
     /// (or its deps failed, in which case `run_one` fails first anyway);
     /// the job then runs cold.
     fn prefix_io(&self, job: &SimJob, store: &ResultStore) -> Option<PrefixIo<'_>> {
@@ -2143,28 +2007,12 @@ impl Engine {
     /// with bounded retry for transient failures and timeouts, a
     /// watchdog deadline per attempt, and injected execution faults when
     /// a plan is installed.
-    ///
-    /// `start_attempt` seeds the cumulative attempt counter: the fabric
-    /// passes the count carried in a stolen lease so fault-plan
-    /// occurrence indexing, backoff and the retry budget span process
-    /// boundaries; the local engine passes 0. `store_gate`, when given,
-    /// is consulted immediately before the cache store — a `false`
-    /// verdict (the fabric's lease was stolen while we ran) discards the
-    /// result (`Disposition::lost`) instead of double-committing it.
-    pub(crate) fn run_one(
-        &self,
-        job: &SimJob,
-        store: &ResultStore,
-        watchdog: &Watchdog,
-        start_attempt: u32,
-        store_gate: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Disposition {
+    fn run_one(&self, job: &SimJob, store: &ResultStore, watchdog: &Watchdog) -> Disposition {
         let fail = |attempts: Vec<AttemptRecord>, error: String| Disposition {
             result: Err(error),
             was_hit: false,
             wall: 0.0,
             attempts,
-            lost: false,
         };
 
         let identity = match self.identify(job, store) {
@@ -2220,7 +2068,6 @@ impl Engine {
                             was_hit: true,
                             wall,
                             attempts: Vec::new(),
-                            lost: false,
                         };
                     }
                     // Checksum-valid but semantically stale (format
@@ -2244,31 +2091,7 @@ impl Engine {
         let mut attempts: Vec<AttemptRecord> = Vec::new();
 
         loop {
-            // Cumulative across lease owners: a stolen job resumes the
-            // dead owner's count rather than restarting the budget.
-            let attempt = start_attempt + attempts.len() as u32;
-            // The veto gate: a cancelled submission's jobs stop here —
-            // before the first attempt, and between retries.
-            if self.vetoed(&spec_hash) {
-                let error = "cancelled: submission withdrawn".to_string();
-                attempts.push(AttemptRecord {
-                    class: FailClass::Cancelled,
-                    error: error.clone(),
-                    backoff_ms: 0,
-                    wall_ms: 0,
-                });
-                self.emit(
-                    &label,
-                    &spec_hash,
-                    JobStatus::Cancelled,
-                    EventDetail {
-                        attempts: attempt,
-                        error: Some(error.clone()),
-                        ..EventDetail::default()
-                    },
-                );
-                return fail(attempts, error);
-            }
+            let attempt = attempts.len() as u32;
             let injected = self
                 .faults
                 .as_ref()
@@ -2286,10 +2109,6 @@ impl Engine {
             if let Some(d) = deadline {
                 watchdog.register(token.clone(), Duration::from_secs_f64(d));
             }
-            self.inflight
-                .lock()
-                .expect("inflight registry")
-                .insert(spec_hash.clone(), token.clone());
             self.emit(
                 &label,
                 &spec_hash,
@@ -2319,10 +2138,6 @@ impl Engine {
                 Ok(job.execute(&dep_outputs, prefixes.as_ref()))
             }));
             watchdog.unregister(&token);
-            self.inflight
-                .lock()
-                .expect("inflight registry")
-                .remove(&spec_hash);
             drop(guard);
             let wall = t0.elapsed().as_secs_f64();
             let cancelled = token.is_cancelled();
@@ -2332,23 +2147,6 @@ impl Engine {
             // (possibly early-returned) simulation and must be discarded.
             if let Ok(Ok(out)) = &executed {
                 if !cancelled {
-                    // The gate is the fabric's lease-ownership check: if
-                    // our claim was stolen while we executed, another
-                    // worker owns this key now — discard instead of
-                    // double-committing.
-                    if let Some(gate) = store_gate {
-                        if !gate() {
-                            return Disposition {
-                                result: Err(
-                                    "store discarded: lease lost to another worker".to_string()
-                                ),
-                                was_hit: false,
-                                wall,
-                                attempts,
-                                lost: true,
-                            };
-                        }
-                    }
                     let body = out.to_text();
                     self.cache.store(kind, &key, &spec, &body, wall);
                     // Canonicalise through the serialisation so a cold
@@ -2377,7 +2175,6 @@ impl Engine {
                                 was_hit: false,
                                 wall,
                                 attempts,
-                                lost: false,
                             }
                         }
                         None => {
@@ -2402,14 +2199,8 @@ impl Engine {
                 }
             }
 
-            // Classify the failure. A cancelled token with a vetoing
-            // gate is a cooperative cancellation (`Engine::cancel_spec`),
-            // not a watchdog timeout.
+            // Classify the failure. Only the watchdog cancels a token.
             let (class, error) = match executed {
-                _ if cancelled && self.vetoed(&spec_hash) => (
-                    FailClass::Cancelled,
-                    format!("cancelled mid-run after {wall:.1}s: submission withdrawn"),
-                ),
                 _ if cancelled => (
                     FailClass::Timeout,
                     format!(
@@ -2448,11 +2239,7 @@ impl Engine {
                 self.emit(
                     &label,
                     &spec_hash,
-                    if class == FailClass::Cancelled {
-                        JobStatus::Cancelled
-                    } else {
-                        JobStatus::Failed
-                    },
+                    JobStatus::Failed,
                     EventDetail {
                         attempts: attempts.len() as u32,
                         wall,
@@ -3174,7 +2961,7 @@ mod tests {
     fn run_published_checkpoints_land_on_prefix_keys() {
         // A run that passes a barrier publishes the blob under the same
         // key a standalone Prefix job would use — so a later ladder (or
-        // a worker resuming a stolen lease) finds it without resimulating.
+        // a re-run after a crash) finds it without resimulating.
         let setup = tiny_setup();
         let mut r = KernelRunSpec::new(&kernel(9), Scheme::Gto, &setup, None);
         r.run_cycles = 9_000;

@@ -19,15 +19,15 @@
 //!   training suite, score targets (Eq. 12), fit the regressions;
 //! * [`experiment`] — shared runners used by the figure/table regenerators
 //!   in the `poise-bench` crate;
-//! * [`jobs`] — the unified experiment engine: typed simulation jobs over
-//!   a deduplicating in-process work queue, with content-addressed result
-//!   caching in [`cache`] (`results/cache/`);
+//! * [`jobs`] — the experiment engine: typed simulation jobs over a
+//!   deduplicating in-process work queue, with content-addressed result
+//!   caching in [`cache`] (`results/cache/`) and seeded fault injection
+//!   in [`faults`] for its retry, watchdog and self-heal paths;
 //! * [`plan`] — declarative experiment plans: typed sweep axes and the
 //!   knob overlay (`--set` / `--sweep`) whose cartesian expansion feeds
 //!   `(Setup, SimJob)` sets through the engine with cross-point sharing;
-//! * [`daemon`] — the sweep daemon: a Unix-socket service that admits,
-//!   coalesces and streams concurrent experiment plans onto the lease
-//!   fabric (`poised` in `poise-bench` is the binary);
+//! * [`json`] — the minimal JSON writer behind
+//!   `results/run_all_failures.jsonl`;
 //! * [`hardware_cost`] — the §VII-I storage-overhead accounting
 //!   (≈ 41 bytes per SM).
 //!
@@ -47,13 +47,12 @@
 
 pub mod cache;
 pub(crate) mod ctrl_state;
-pub mod daemon;
 pub mod experiment;
-pub mod fabric;
 pub mod faults;
 pub mod hardware_cost;
 pub mod hie;
 pub mod jobs;
+pub mod json;
 pub mod parallel;
 pub mod params;
 pub mod plan;
@@ -62,7 +61,6 @@ pub mod profiler;
 pub mod train;
 
 pub use experiment::{BenchResult, Scheme, Setup};
-pub use fabric::FabricConfig;
 pub use faults::{FaultKind, FaultPlan};
 pub use hie::{EpochLog, PoiseController};
 pub use jobs::{Engine, JobOutput, ResultStore, RunReport, SimJob};

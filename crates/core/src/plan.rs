@@ -97,9 +97,6 @@ pub enum Knob {
     /// classified `timed out`. Never part of cache identity — no job
     /// spec renders it.
     JobDeadline,
-    /// Fabric worker processes for `run_all` (0 = in-process). Engine
-    /// knob: never part of cache identity.
-    Workers,
     /// Threads stepping SMs inside a single simulation run: `1` keeps
     /// the default single-threaded loop, `n > 1` selects
     /// [`gpu_sim::StepMode::ParallelSm`] with a pool of `n` (bounded by
@@ -107,12 +104,6 @@ pub enum Knob {
     /// bit-identical at every thread count, so it is never part of
     /// cache identity.
     SimThreads,
-    /// Lease heartbeat TTL in seconds before a claim counts as dead and
-    /// becomes stealable. Engine knob.
-    LeaseTtl,
-    /// Straggler threshold in seconds: a lease older than this is
-    /// stolen even with a live heartbeat. Engine knob.
-    StealAfter,
     /// Periodic snapshot barrier interval in cycles (0 disables):
     /// factorable runs publish prefix blobs at every multiple, so an
     /// interrupted run resumes from its last checkpoint. Engine knob:
@@ -157,7 +148,7 @@ impl fmt::Display for KnobValue {
 }
 
 /// All knobs with their CLI names, in documentation order.
-pub const KNOBS: [(Knob, &str); 26] = [
+pub const KNOBS: [(Knob, &str); 23] = [
     (Knob::Sms, "sms"),
     (Knob::L1Scale, "l1_scale"),
     (Knob::L1Sets, "l1_sets"),
@@ -179,10 +170,7 @@ pub const KNOBS: [(Knob, &str); 26] = [
     (Knob::Strides, "strides"),
     (Knob::Scoring, "scoring"),
     (Knob::JobDeadline, "job_deadline"),
-    (Knob::Workers, "workers"),
     (Knob::SimThreads, "sim_threads"),
-    (Knob::LeaseTtl, "lease_ttl"),
-    (Knob::StealAfter, "steal_after"),
     (Knob::SnapshotEvery, "snapshot_every"),
 ];
 
@@ -232,7 +220,7 @@ impl Knob {
             | Knob::L1Ways
             | Knob::L2Banks
             | Knob::SimThreads => count(1),
-            Knob::KernelsCap | Knob::TrainCap | Knob::Workers => count(0),
+            Knob::KernelsCap | Knob::TrainCap => count(0),
             Knob::RunCycles
             | Knob::ProfileWarmup
             | Knob::ProfileMeasure
@@ -248,7 +236,7 @@ impl Knob {
                 let v: f64 = s.parse().map_err(|_| bad("expected a number"))?;
                 Ok(KnobValue::Real(v))
             }
-            Knob::JobDeadline | Knob::LeaseTtl | Knob::StealAfter => {
+            Knob::JobDeadline => {
                 let v: f64 = s.parse().map_err(|_| bad("expected seconds"))?;
                 if !(v > 0.0 && v.is_finite()) {
                     return Err(bad("must be a positive number of seconds"));
@@ -375,10 +363,6 @@ impl Knob {
                 KnobValue::Real(v) => setup.job_deadline = Some(*v),
                 _ => kind_bug(),
             },
-            Knob::Workers => match value {
-                KnobValue::Count(v) => setup.workers = *v,
-                _ => kind_bug(),
-            },
             Knob::SimThreads => {
                 let n = as_count(value);
                 setup.cfg.sim_threads = n;
@@ -391,14 +375,6 @@ impl Knob {
                     gpu_sim::StepMode::default()
                 };
             }
-            Knob::LeaseTtl => match value {
-                KnobValue::Real(v) => setup.lease_ttl = *v,
-                _ => kind_bug(),
-            },
-            Knob::StealAfter => match value {
-                KnobValue::Real(v) => setup.steal_after = Some(*v),
-                _ => kind_bug(),
-            },
             Knob::SnapshotEvery => setup.snapshot_every = as_cycles(value),
         }
     }
@@ -980,32 +956,9 @@ mod tests {
     }
 
     #[test]
-    fn fabric_knobs_parse_and_apply() {
-        let mut s = Setup::for_tests();
-        assert_eq!(s.workers, 0, "in-process by default");
-        assert_eq!(s.lease_ttl, 2.0);
-        assert_eq!(s.steal_after, None, "heartbeat-staleness only");
-
-        let v = Knob::Workers.parse_value("3").unwrap();
-        Knob::Workers.apply(&mut s, &v);
-        assert_eq!(s.workers, 3);
-        assert!(Knob::Workers.parse_value("-1").is_err());
-
-        let v = Knob::LeaseTtl.parse_value("0.5").unwrap();
-        Knob::LeaseTtl.apply(&mut s, &v);
-        assert_eq!(s.lease_ttl, 0.5);
-        assert!(Knob::LeaseTtl.parse_value("0").is_err());
-
-        let v = Knob::StealAfter.parse_value("30").unwrap();
-        Knob::StealAfter.apply(&mut s, &v);
-        assert_eq!(s.steal_after, Some(30.0));
-        assert!(Knob::StealAfter.parse_value("nan").is_err());
-
-        // Engine knobs never reach a job spec, so they cannot perturb
-        // cache identity.
-        assert_eq!(Knob::from_name("workers"), Some(Knob::Workers));
-        assert_eq!(Knob::from_name("lease_ttl"), Some(Knob::LeaseTtl));
-        assert_eq!(Knob::from_name("steal_after"), Some(Knob::StealAfter));
+    fn worker_process_knob_is_unknown() {
+        assert_eq!(Knob::from_name("workers"), None);
+        assert!(KnobOverlay::parse(&["workers=2".to_string()]).is_err());
     }
 
     #[test]
