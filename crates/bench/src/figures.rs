@@ -25,13 +25,14 @@
 //! `run_all`, which the migration was validated against.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::{KernelSource, SetIndexing, WarpTuple};
 use poise::experiment::{self, arithmetic_mean, harmonic_mean, Scheme, Setup};
 use poise::jobs::{
-    Engine, JobTrouble, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore, RunReport,
-    SampleSpec, SimJob, TupleRunSpec,
+    Engine, JobIds, JobTrouble, KernelRunSpec, ModelSpec, PbestSpec, ProfileSpec, ResultStore,
+    RunReport, SampleSpec, SimJob, TupleRunSpec,
 };
 use poise::json::{self, Json};
 use poise::plan::{Axis, ExperimentPlan, KnobOverlay, PlanExpansion, SweepPoint};
@@ -54,8 +55,9 @@ use crate::{
 pub struct FigCtx {
     /// The experiment setup (machine, params, effort caps).
     pub setup: Setup,
-    /// The one-time offline training run all Poise figures share.
-    pub model: ModelSpec,
+    /// The one-time offline training run all Poise figures share (every
+    /// Poise run spec points at this one copy).
+    pub model: Arc<ModelSpec>,
     /// The trace workloads under [`crate::traces_dir`], loaded once at
     /// context construction so the `trace_eval` jobs and renderer see
     /// the same snapshot (and each file is read and digested once).
@@ -71,7 +73,7 @@ impl FigCtx {
     /// Build the context over an explicit base [`Setup`] (the knob
     /// overlay has already been applied by the CLI entry point).
     pub fn new(setup: Setup) -> Self {
-        let model = ModelSpec::default_training(&setup);
+        let model = Arc::new(ModelSpec::default_training(&setup));
         let (traces, trace_errors) = load_trace_workloads();
         FigCtx {
             setup,
@@ -130,10 +132,11 @@ impl Figure {
         ExperimentPlan::new(ctx.setup.clone(), axes)
     }
 
-    /// Expand this figure's plan into its per-point jobs.
-    pub fn expand(&self, ctx: &FigCtx, override_axes: &[Axis]) -> PlanExpansion {
+    /// Expand this figure's plan into its per-point jobs, identifying
+    /// them through the planning pass's memo `ids`.
+    pub fn expand(&self, ctx: &FigCtx, override_axes: &[Axis], ids: &mut JobIds) -> PlanExpansion {
         self.plan(ctx, override_axes)
-            .expand(|setup| (self.jobs)(ctx, setup))
+            .expand(ids, |setup| (self.jobs)(ctx, setup))
     }
 }
 
@@ -230,13 +233,13 @@ fn scheme_jobs(
     bench: &Benchmark,
     scheme: Scheme,
     setup: &Setup,
-    model: Option<&ModelSpec>,
+    model: Option<&Arc<ModelSpec>>,
 ) -> Vec<SimJob> {
     bench
         .capped(setup.kernels_cap)
         .kernels
         .iter()
-        .map(|k| SimJob::Run(KernelRunSpec::new(k, scheme, setup, model)))
+        .map(|k| SimJob::Run(KernelRunSpec::with_shared_model(k, scheme, setup, model)))
         .collect()
 }
 
@@ -247,14 +250,14 @@ fn scheme_result(
     bench: &Benchmark,
     scheme: Scheme,
     setup: &Setup,
-    model: Option<&ModelSpec>,
+    model: Option<&Arc<ModelSpec>>,
 ) -> Result<experiment::BenchResult, String> {
     let capped = bench.capped(setup.kernels_cap);
     let mut runs = Vec::with_capacity(capped.kernels.len());
     for k in &capped.kernels {
         runs.push(
             store
-                .run(&KernelRunSpec::new(k, scheme, setup, model))?
+                .run(&KernelRunSpec::with_shared_model(k, scheme, setup, model))?
                 .clone(),
         );
     }
@@ -449,7 +452,7 @@ fn render_table_hw_cost(
 // ---------------------------------------------------------------------------
 
 fn jobs_table2(ctx: &FigCtx, _setup: &Setup) -> Vec<SimJob> {
-    vec![SimJob::Train(ctx.model.clone())]
+    vec![SimJob::Train(ModelSpec::clone(&ctx.model))]
 }
 
 fn render_table2(ctx: &FigCtx, _points: &[SweepPoint], store: &ResultStore) -> Result<(), String> {
@@ -998,7 +1001,7 @@ fn jobs_prediction_error(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
         .into_iter()
         .map(SimJob::Sample)
         .collect();
-    jobs.push(SimJob::Train(ctx.model.clone()));
+    jobs.push(SimJob::Train(ModelSpec::clone(&ctx.model)));
     jobs
 }
 
@@ -1123,7 +1126,7 @@ fn jobs_trace_eval(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     for workload in &ctx.traces {
         for scheme in TRACE_EVAL_SCHEMES {
             let model = (scheme == Scheme::Poise).then_some(&ctx.model);
-            jobs.push(SimJob::Run(KernelRunSpec::new(
+            jobs.push(SimJob::Run(KernelRunSpec::with_shared_model(
                 workload, scheme, setup, model,
             )));
         }
@@ -1150,7 +1153,9 @@ fn render_trace_eval(
         let run_of = |scheme: Scheme| -> Result<poise::experiment::KernelRun, String> {
             let model = (scheme == Scheme::Poise).then_some(&ctx.model);
             store
-                .run(&KernelRunSpec::new(workload, scheme, setup, model))
+                .run(&KernelRunSpec::with_shared_model(
+                    workload, scheme, setup, model,
+                ))
                 .cloned()
         };
         let gto = run_of(Scheme::Gto)?;
@@ -1266,7 +1271,7 @@ fn fig17_specs(ctx: &FigCtx, setup: &Setup) -> (ProfileSpec, KernelRunSpec) {
         grid: GridSpec::full(kernel.warps_per_scheduler()),
         window: setup.profile_window,
     };
-    let mut run = KernelRunSpec::new(&kernel, Scheme::Poise, setup, Some(&ctx.model));
+    let mut run = KernelRunSpec::with_shared_model(&kernel, Scheme::Poise, setup, Some(&ctx.model));
     run.run_cycles = setup.run_cycles.max(3 * setup.params.t_period);
     (profile, run)
 }
@@ -1460,10 +1465,13 @@ fn fig13_setup(setup: &Setup) -> Setup {
 }
 
 /// The model variants: all features, then drop x3..x7 (drop index i − 1).
-fn fig13_variants(ctx: &FigCtx) -> Vec<(String, ModelSpec)> {
+fn fig13_variants(ctx: &FigCtx) -> Vec<(String, Arc<ModelSpec>)> {
     std::iter::once(("all".to_string(), Vec::new()))
         .chain((3..=7).rev().map(|i| (format!("-x{i}"), vec![i - 1])))
-        .map(|(name, drop)| (name, ctx.model.clone().with_dropped(drop)))
+        .map(|(name, drop)| {
+            let model = ModelSpec::clone(&ctx.model).with_dropped(drop);
+            (name, Arc::new(model))
+        })
         .collect()
 }
 
@@ -1471,7 +1479,7 @@ fn jobs_fig13(ctx: &FigCtx, setup: &Setup) -> Vec<SimJob> {
     let s = fig13_setup(setup);
     let mut jobs = Vec::new();
     for (_, model) in fig13_variants(ctx) {
-        jobs.push(SimJob::Train(model.clone()));
+        jobs.push(SimJob::Train(ModelSpec::clone(&model)));
         for bench in evaluation_suite() {
             jobs.extend(scheme_jobs(&bench, Scheme::Poise, &s, Some(&model)));
         }
@@ -1690,7 +1698,7 @@ fn render_sm_scaling(
                 let (mut cycles, mut instructions, mut wall) = (0u64, 0u64, 0.0f64);
                 for bench in sm_scaling_benches() {
                     for k in &bench.capped(setup.kernels_cap).kernels {
-                        let spec = KernelRunSpec::new(k, scheme, setup, model);
+                        let spec = KernelRunSpec::with_shared_model(k, scheme, setup, model);
                         let job = SimJob::Run(spec.clone());
                         let run = store.run(&spec)?;
                         cycles += run.counters.cycles;
@@ -1778,7 +1786,7 @@ pub fn figure_main(name: &str) -> ExitCode {
         }
     };
     let engine = Engine::from_env(&results_dir());
-    let exp = figure.expand(&ctx, &[]);
+    let exp = figure.expand(&ctx, &[], &mut JobIds::default());
     if exp.points.len() > 1 {
         eprintln!(
             "[bench] {name}: {} sweep points, {} jobs shared across points (executed once)",
@@ -1809,12 +1817,15 @@ fn name_matches(only: Option<&[String]>, name: &str) -> bool {
 }
 
 /// The fully planned job set of one `run_all`-shaped invocation: the
-/// selected figures, their sweep expansions, and the concatenated
-/// (prefix-factored) job list the engine executes.
+/// selected figures, their sweep expansions, the concatenated
+/// (prefix-factored) job list the engine executes, and the context the
+/// plan was built over (the renderers must see the same one).
 pub struct PlannedJobs {
     pub figures: Vec<Figure>,
     pub expansions: Vec<PlanExpansion>,
+    /// The base setup (`ctx.setup`).
     pub setup: Setup,
+    pub ctx: FigCtx,
     pub jobs: Vec<SimJob>,
     pub sweeping: bool,
     pub sweep_shared: usize,
@@ -1849,9 +1860,11 @@ pub fn plan_jobs(
         eprintln!("[run_all] knob overlay: {}", overlay.summary());
     }
     let ctx = FigCtx::new(crate::base_setup(&overlay));
+    // One identity memo for the whole planning pass.
+    let mut ids = JobIds::default();
     let expansions: Vec<PlanExpansion> = figures
         .iter()
-        .map(|f| f.expand(&ctx, &sweep_axes))
+        .map(|f| f.expand(&ctx, &sweep_axes, &mut ids))
         .collect();
     // Reject a sweep that reaches a single-point renderer *now*, before
     // any simulation is paid for (the renderer's own single_point()
@@ -1888,7 +1901,7 @@ pub fn plan_jobs(
     // Prefix factoring: runs that differ only in their cycle horizon
     // collapse into one chained simulation plus per-horizon forks (a
     // `run_cycles` sweep axis is the canonical producer).
-    let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every);
+    let prefix_shared = poise::jobs::factor_prefixes(&mut jobs, ctx.setup.snapshot_every, &mut ids);
     if verbose && prefix_shared > 0 {
         eprintln!(
             "[run_all] prefix factoring: {prefix_shared} run(s) fork from shared \
@@ -1898,7 +1911,8 @@ pub fn plan_jobs(
     Ok(PlannedJobs {
         figures,
         expansions,
-        setup: ctx.setup,
+        setup: ctx.setup.clone(),
+        ctx,
         jobs,
         sweeping,
         sweep_shared,
@@ -2050,10 +2064,10 @@ pub fn run_all_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ctx = FigCtx::new(planned.setup.clone());
     let PlannedJobs {
         figures,
         expansions,
+        ctx,
         jobs,
         sweeping,
         sweep_shared,

@@ -39,7 +39,8 @@
 //! ## Execution model
 //!
 //! [`Engine::run`] expands the requested jobs to their transitive
-//! dependency closure, deduplicates by canonical spec, and executes in
+//! dependency closure, deduplicates by spec hash (each distinct spec's
+//! identity computed once, by a [`JobIds`] memo), and executes in
 //! three waves (leaf jobs → model fits → scheme runs), fanning each wave
 //! across the host's cores. Each job runs under `catch_unwind`, so one
 //! panicking simulation marks its dependants failed without tearing down
@@ -50,14 +51,14 @@
 //! before being returned, so a cold run and a warm (all-hits) run hand
 //! the renderer bit-identical values by construction.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup};
+use crate::cache::{fmt_f64, parse_f64, sha256_hex, Cache, FsckReport, Lookup, Sha256};
 use crate::experiment::{
     run_kernel_configured, run_kernel_segmented, run_prefix_blob, KernelRun, PrefixBlob,
     PrefixStore, ProfileTuples, Scheme, Setup,
@@ -68,9 +69,10 @@ use crate::policies::{static_best_from_grid, swl_tuple_from_grid};
 use crate::profiler::{pbest, profile_grid, run_tuple, GridSpec, ProfileWindow, SteadyState};
 use crate::train::{collect_sample_scored, fit_samples};
 use gpu_sim::KernelSource;
-use gpu_sim::{CancelToken, Counters, EnergyBreakdown, GpuConfig, WarpTuple};
+use gpu_sim::{CancelToken, Counters, EnergyBreakdown, EnergyConfig, GpuConfig, WarpTuple};
 use poise_ml::{ScoringWeights, SpeedupGrid, TrainedModel, TrainingSample, N_FEATURES};
-use workloads::{training_suite, Workload};
+use workloads::digest::hex;
+use workloads::{training_suite, AccessMix, KernelSpec, Phase, Workload};
 
 /// Salt mixed into every cache key. The cache hashes job *inputs*, not
 /// simulator code — bump this when a simulator/serialisation change
@@ -388,10 +390,11 @@ pub struct KernelRunSpec {
     pub t_period: Option<u64>,
     /// Seeds for random-restart averaging (empty otherwise).
     pub rr_seeds: Vec<u64>,
-    /// The model driving a Poise run.
-    pub model: Option<Box<ModelSpec>>,
+    /// The model driving a Poise run, shared (not copied) between the
+    /// runs built from one [`Arc`].
+    pub model: Option<Arc<ModelSpec>>,
     /// The offline profile driving SWL / PCAL-SWL / Static-Best.
-    pub profile: Option<Box<ProfileSpec>>,
+    pub profile: Option<Arc<ProfileSpec>>,
     /// Display-only sweep tag (e.g. `sms=16`), set by
     /// [`crate::plan::ExperimentPlan::expand`] on jobs unique to one
     /// sweep point so `run_all` progress lines are distinguishable
@@ -445,6 +448,18 @@ impl KernelRunSpec {
         setup: &Setup,
         model: Option<&ModelSpec>,
     ) -> Self {
+        let model = model.map(|m| Arc::new(m.clone()));
+        KernelRunSpec::with_shared_model(workload, scheme, setup, model.as_ref())
+    }
+
+    /// [`KernelRunSpec::new`] pointing at `model` instead of copying it,
+    /// so every run built from one `Arc` shares a single [`ModelSpec`].
+    pub fn with_shared_model(
+        workload: &Workload,
+        scheme: Scheme,
+        setup: &Setup,
+        model: Option<&Arc<ModelSpec>>,
+    ) -> Self {
         let needs_profile = matches!(scheme, Scheme::Swl | Scheme::PcalSwl | Scheme::StaticBest);
         KernelRunSpec {
             workload: workload.clone(),
@@ -460,9 +475,9 @@ impl KernelRunSpec {
                 Vec::new()
             },
             model: (scheme == Scheme::Poise)
-                .then(|| Box::new(model.expect("a Poise run needs a ModelSpec").clone())),
+                .then(|| Arc::clone(model.expect("a Poise run needs a ModelSpec"))),
             profile: needs_profile.then(|| {
-                Box::new(ProfileSpec {
+                Arc::new(ProfileSpec {
                     workload: workload.clone(),
                     cfg: setup.cfg.clone(),
                     grid: setup.eval_grid.clone(),
@@ -600,85 +615,10 @@ impl SimJob {
     /// (never `derive(Debug)` — cache identity must survive struct
     /// refactors) with exact (round-trip) float formatting. Dependencies
     /// appear as the SHA-256 of *their* spec text, so input edits
-    /// propagate through the graph.
+    /// propagate through the graph. Renders from scratch; a pass that
+    /// identifies many jobs asks its [`JobIds`] memo instead.
     pub fn spec_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "job {}", self.kind());
-        match self {
-            SimJob::Profile(p) => {
-                let _ = writeln!(s, "{}", p.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
-                let _ = writeln!(s, "{}", spec_render::grid(&p.grid));
-                let _ = writeln!(s, "{}", spec_render::window(&p.window));
-            }
-            SimJob::Pbest(p) => {
-                let _ = writeln!(s, "{}", p.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
-                let _ = writeln!(s, "{}", spec_render::window(&p.window));
-            }
-            SimJob::TupleRun(t) => {
-                let _ = writeln!(s, "{}", t.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&t.cfg));
-                let _ = writeln!(s, "{}", spec_render::tuple(&t.tuple));
-                let _ = writeln!(s, "{}", spec_render::window(&t.window));
-            }
-            SimJob::Sample(p) => {
-                let _ = writeln!(s, "{}", p.workload.spec_line());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&p.cfg));
-                let _ = writeln!(s, "{}", spec_render::grid(&p.grid));
-                let _ = writeln!(s, "{}", spec_render::window(&p.window));
-                let _ = writeln!(s, "{}", spec_render::scoring(&p.scoring));
-            }
-            SimJob::Train(m) => {
-                for k in &m.kernels {
-                    let _ = writeln!(s, "{}", k.spec_line());
-                }
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&m.cfg));
-                let _ = writeln!(s, "{}", spec_render::grid(&m.grid));
-                let _ = writeln!(s, "{}", spec_render::window(&m.window));
-                let _ = writeln!(s, "{}", spec_render::scoring(&m.scoring));
-                let _ = writeln!(
-                    s,
-                    "drop_features {}",
-                    spec_render::int_list(&m.drop_features)
-                );
-            }
-            // A prefix renders the same input lines as the run it was
-            // factored from (under its own `job prefix` header): its
-            // identity is exactly "the simulation of these inputs up to
-            // run_cycles", which is what suffix runs resolve against.
-            SimJob::Run(r) | SimJob::Prefix(r) => {
-                let _ = writeln!(s, "{}", r.workload.spec_line());
-                let _ = writeln!(s, "scheme {}", r.scheme.name());
-                let _ = writeln!(s, "cfg {}", spec_render::gpu_config(&r.cfg));
-                let _ = writeln!(s, "run_cycles {}", r.run_cycles);
-                if let Some(p) = &r.params {
-                    let _ = writeln!(s, "{}", spec_render::params(p));
-                }
-                if let Some(t) = r.t_period {
-                    let _ = writeln!(s, "t_period {t}");
-                }
-                if !r.rr_seeds.is_empty() {
-                    let _ = writeln!(s, "rr_seeds {}", spec_render::int_list(&r.rr_seeds));
-                }
-                if let Some(m) = &r.model {
-                    let _ = writeln!(
-                        s,
-                        "model {}",
-                        sha256_hex(&SimJob::Train((**m).clone()).spec_text())
-                    );
-                }
-                if let Some(p) = &r.profile {
-                    let _ = writeln!(
-                        s,
-                        "profile {}",
-                        sha256_hex(&SimJob::Profile((**p).clone()).spec_text())
-                    );
-                }
-            }
-        }
-        s
+        JobIds::default().render(self)
     }
 
     /// Direct dependencies (jobs whose outputs this job consumes).
@@ -809,10 +749,12 @@ impl SimJob {
     /// Poise run digests the model weights, a profile-driven run only the
     /// two derived tuples (so profile jitter that leaves the chosen
     /// tuples intact does not invalidate the run), and training digests
-    /// the full sample rows.
-    fn dep_digest(&self, dep: &SimJob, out: &JobOutput) -> String {
-        match (self, dep, out) {
-            (SimJob::Run(r) | SimJob::Prefix(r), SimJob::Profile(_), JobOutput::Grid(g)) => {
+    /// the full sample rows. `digest` memoises the output's SHA-256, so
+    /// each output is hashed once however many jobs consume it.
+    fn dep_digest(&self, out: &JobOutput, digest: &OnceLock<String>) -> String {
+        match (self, out) {
+            // A run's only grid-valued dependency is its profile.
+            (SimJob::Run(r) | SimJob::Prefix(r), JobOutput::Grid(g)) => {
                 let max_warps = r
                     .workload
                     .warps_per_scheduler()
@@ -823,8 +765,531 @@ impl SimJob {
                     static_best_from_grid(g, max_warps)
                 )
             }
-            _ => sha256_hex(&out.to_text()),
+            _ => digest.get_or_init(|| sha256_hex(&out.to_text())).clone(),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Job identity.
+// ---------------------------------------------------------------------------
+
+/// SHA-256 of a job's spec text: the key of every per-pass job map (the
+/// engine's graph, the [`ResultStore`]).
+pub type SpecHash = [u8; 32];
+
+/// A job's identity: its canonical spec text and that text's SHA-256.
+#[derive(Debug)]
+pub struct JobId {
+    text: String,
+    hash: SpecHash,
+    hex: String,
+}
+
+impl JobId {
+    fn new(text: String) -> JobId {
+        let mut h = Sha256::new();
+        h.update(text.as_bytes());
+        let hash = h.finish();
+        JobId {
+            hex: hex(&hash),
+            hash,
+            text,
+        }
+    }
+
+    /// The canonical spec text ([`SimJob::spec_text`]).
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// SHA-256 of the spec text.
+    pub fn hash(&self) -> &SpecHash {
+        &self.hash
+    }
+
+    /// The spec hash in hex: the form spec texts, progress events and
+    /// fault plans quote.
+    pub fn hex(&self) -> &str {
+        &self.hex
+    }
+
+    /// The job's cache key: its spec text salted with [`CACHE_VERSION`],
+    /// plus the digests of the dependency outputs it consumes.
+    pub fn cache_key(&self, dep_digests: &str) -> String {
+        sha256_hex(&format!(
+            "{CACHE_VERSION}\n{}--deps--\n{dep_digests}",
+            self.text
+        ))
+    }
+}
+
+/// The distinct component lines a [`JobIds`] has rendered; a line's
+/// index is its id in job keys.
+#[derive(Debug, Default)]
+struct Lines {
+    texts: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u64>,
+}
+
+impl Lines {
+    fn intern(&mut self, line: String) -> u64 {
+        if let Some(&id) = self.index.get(line.as_str()) {
+            return id;
+        }
+        let id = self.texts.len() as u64;
+        let line: Arc<str> = line.into();
+        self.texts.push(Arc::clone(&line));
+        self.index.insert(line, id);
+        id
+    }
+}
+
+/// The line id of `value`: that of a stored value `same` accepts, or of
+/// a freshly rendered line (stored with a copy of the value).
+fn component_line<T: Clone>(
+    table: &mut Vec<(T, u64)>,
+    lines: &mut Lines,
+    value: &T,
+    same: fn(&T, &T) -> bool,
+    render: fn(&T) -> String,
+) -> u64 {
+    if let Some(&(_, id)) = table.iter().find(|(v, _)| same(v, value)) {
+        return id;
+    }
+    let id = lines.intern(render(value));
+    table.push((value.clone(), id));
+    id
+}
+
+/// Equality as the memo needs it. `PartialEq` equates `0.0` and `-0.0`,
+/// which the spec renderings print apart, so the floats are also
+/// compared by bit pattern.
+fn same_workload(a: &Workload, b: &Workload) -> bool {
+    fn float_bits(w: &Workload) -> impl Iterator<Item = u64> + '_ {
+        w.synthetic().into_iter().flat_map(|k| {
+            let KernelSpec {
+                phases,
+                name: _,
+                warps_per_scheduler: _,
+                trace_len: _,
+                seed: _,
+            } = k;
+            phases.iter().flat_map(|phase| {
+                let Phase {
+                    mix,
+                    instructions: _,
+                } = phase;
+                let AccessMix {
+                    hot_frac,
+                    shared_frac,
+                    stream_frac,
+                    store_frac,
+                    alu_per_load: _,
+                    mlp: _,
+                    ind_gap: _,
+                    hot_lines: _,
+                    hot_repeat: _,
+                    cold_lines: _,
+                    shared_lines: _,
+                } = *mix;
+                [hot_frac, shared_frac, stream_frac, store_frac].map(f64::to_bits)
+            })
+        })
+    }
+    a == b && float_bits(a).eq(float_bits(b))
+}
+
+/// See [`same_workload`]; a configuration's floats are its energy costs.
+fn same_cfg(a: &GpuConfig, b: &GpuConfig) -> bool {
+    fn float_bits(c: &GpuConfig) -> [u64; 5] {
+        let EnergyConfig {
+            alu_op,
+            l1_access,
+            l2_access,
+            dram_access,
+            leakage_per_sm_cycle,
+        } = c.energy;
+        [
+            alu_op,
+            l1_access,
+            l2_access,
+            dram_access,
+            leakage_per_sm_cycle,
+        ]
+        .map(f64::to_bits)
+    }
+    a == b && float_bits(a) == float_bits(b)
+}
+
+/// Appends the key tokens of `p`: every field, floats by bit pattern.
+fn params_key(p: &PoiseParams, key: &mut Vec<u64>) {
+    let PoiseParams {
+        scoring,
+        t_period,
+        t_warmup,
+        t_feature,
+        t_search,
+        i_max,
+        stride_n,
+        stride_p,
+    } = *p;
+    key.extend(scoring.0.map(f64::to_bits));
+    key.extend([
+        t_period,
+        t_warmup,
+        t_feature,
+        t_search,
+        i_max.to_bits(),
+        stride_n as u64,
+        stride_p as u64,
+    ]);
+}
+
+/// The job-identity memo of one pass.
+///
+/// A pass (plan → [`Engine::run`] → [`ResultStore`] → render) needs the
+/// identity of the same few hundred specs thousands of times: in every
+/// figure's expansion, on every dependency edge, in every renderer
+/// lookup. The memo computes each piece once per distinct value:
+///
+/// * the component lines — workload, machine configuration, grid and
+///   window — once per distinct component;
+/// * a job's spec text and its SHA-256 once per distinct job, the nested
+///   `model <sha256>` / `profile <sha256>` lines coming from the memoised
+///   identity of that dependency.
+///
+/// A job's memo key is a kind tag, its components' line ids and its
+/// scalar inputs (cycle counts, tuples, seeds, floats by bit pattern), so
+/// two jobs share a key exactly when their spec texts are equal (bar NaN
+/// payloads, which print alike).
+/// Component values are matched by equality against a stored copy, never
+/// by address: a spec mutated through its public fields after a lookup is
+/// a new value and gets a new identity.
+///
+/// A memo belongs to one pass and is passed explicitly. Planning
+/// ([`crate::plan::ExperimentPlan::expand`], [`factor_prefixes`]) shares
+/// the planner's and only asks which jobs are equal, which renders no
+/// spec text; [`Engine::run`] builds its own, renders each distinct spec
+/// once, and hands the memo to the [`ResultStore`] the renderers read.
+/// There is no process-wide memo, so a later pass in the same process
+/// costs what the first did.
+#[derive(Debug, Default)]
+pub struct JobIds {
+    lines: Lines,
+    /// Component values seen, each with its line id. Workloads are
+    /// bucketed by name; the other kinds take a handful of values per pass.
+    workloads: HashMap<String, Vec<(Workload, u64)>>,
+    cfgs: Vec<(GpuConfig, u64)>,
+    grids: Vec<(GridSpec, u64)>,
+    windows: Vec<(ProfileWindow, u64)>,
+    /// Job key → slot; one slot per distinct spec text.
+    slots: HashMap<Vec<u64>, usize>,
+    /// Per slot, the identity once something asked for it.
+    ids: Vec<Option<Arc<JobId>>>,
+}
+
+impl JobIds {
+    /// The identity of `job`, rendered on the first request for its spec.
+    pub fn id(&mut self, job: &SimJob) -> Arc<JobId> {
+        let key = self.key(job);
+        self.identity(key, |ids| ids.render(job))
+    }
+
+    /// The slot of `job`: equal for two jobs exactly when their spec texts
+    /// are. Renders no spec text.
+    pub(crate) fn slot(&mut self, job: &SimJob) -> usize {
+        let key = self.key(job);
+        self.slot_of(key)
+    }
+
+    fn slot_of(&mut self, key: Vec<u64>) -> usize {
+        let next = self.ids.len();
+        let slot = *self.slots.entry(key).or_insert(next);
+        if slot == next {
+            self.ids.push(None);
+        }
+        slot
+    }
+
+    fn identity(&mut self, key: Vec<u64>, render: impl FnOnce(&mut Self) -> String) -> Arc<JobId> {
+        let slot = self.slot_of(key);
+        if let Some(id) = &self.ids[slot] {
+            return Arc::clone(id);
+        }
+        let id = Arc::new(JobId::new(render(self)));
+        self.ids[slot] = Some(Arc::clone(&id));
+        id
+    }
+
+    fn workload(&mut self, w: &Workload) -> u64 {
+        let render: fn(&Workload) -> String = Workload::spec_line;
+        match self.workloads.get_mut(w.name()) {
+            Some(bucket) => component_line(bucket, &mut self.lines, w, same_workload, render),
+            None => {
+                let mut bucket = Vec::new();
+                let id = component_line(&mut bucket, &mut self.lines, w, same_workload, render);
+                self.workloads.insert(w.name().to_string(), bucket);
+                id
+            }
+        }
+    }
+
+    fn cfg(&mut self, c: &GpuConfig) -> u64 {
+        let render: fn(&GpuConfig) -> String = spec_render::gpu_config;
+        component_line(&mut self.cfgs, &mut self.lines, c, same_cfg, render)
+    }
+
+    fn grid(&mut self, g: &GridSpec) -> u64 {
+        let render: fn(&GridSpec) -> String = spec_render::grid;
+        component_line(&mut self.grids, &mut self.lines, g, GridSpec::eq, render)
+    }
+
+    fn window(&mut self, w: &ProfileWindow) -> u64 {
+        let render: fn(&ProfileWindow) -> String = spec_render::window;
+        component_line(
+            &mut self.windows,
+            &mut self.lines,
+            w,
+            ProfileWindow::eq,
+            render,
+        )
+    }
+
+    fn line(&self, id: u64) -> &str {
+        &self.lines.texts[id as usize]
+    }
+
+    /// The memo key of `job`: a kind tag, then the job's inputs in
+    /// rendering order — components as line ids, dependencies as slots.
+    fn key(&mut self, job: &SimJob) -> Vec<u64> {
+        match job {
+            SimJob::Profile(p) => self.profile_key(p),
+            SimJob::Pbest(PbestSpec {
+                workload,
+                cfg,
+                window,
+            }) => vec![
+                1,
+                self.workload(workload),
+                self.cfg(cfg),
+                self.window(window),
+            ],
+            SimJob::TupleRun(TupleRunSpec {
+                workload,
+                cfg,
+                tuple,
+                window,
+            }) => vec![
+                2,
+                self.workload(workload),
+                self.cfg(cfg),
+                tuple.n as u64,
+                tuple.p as u64,
+                self.window(window),
+            ],
+            SimJob::Sample(SampleSpec {
+                workload,
+                cfg,
+                grid,
+                window,
+                scoring,
+            }) => {
+                let mut key = vec![
+                    3,
+                    self.workload(workload),
+                    self.cfg(cfg),
+                    self.grid(grid),
+                    self.window(window),
+                ];
+                key.extend(scoring.0.map(f64::to_bits));
+                key
+            }
+            SimJob::Train(m) => self.train_key(m),
+            SimJob::Run(r) => self.run_key(5, r),
+            SimJob::Prefix(r) => self.run_key(6, r),
+        }
+    }
+
+    fn profile_key(&mut self, p: &ProfileSpec) -> Vec<u64> {
+        let ProfileSpec {
+            workload,
+            cfg,
+            grid,
+            window,
+        } = p;
+        vec![
+            0,
+            self.workload(workload),
+            self.cfg(cfg),
+            self.grid(grid),
+            self.window(window),
+        ]
+    }
+
+    fn train_key(&mut self, m: &ModelSpec) -> Vec<u64> {
+        let ModelSpec {
+            kernels,
+            cfg,
+            grid,
+            window,
+            scoring,
+            drop_features,
+        } = m;
+        let mut key = vec![4, kernels.len() as u64];
+        for k in kernels {
+            key.push(self.workload(k));
+        }
+        key.extend([self.cfg(cfg), self.grid(grid), self.window(window)]);
+        key.extend(scoring.0.map(f64::to_bits));
+        key.push(drop_features.len() as u64);
+        key.extend(drop_features.iter().map(|&d| d as u64));
+        key
+    }
+
+    fn run_key(&mut self, tag: u64, r: &KernelRunSpec) -> Vec<u64> {
+        let KernelRunSpec {
+            workload,
+            scheme,
+            cfg,
+            run_cycles,
+            params,
+            t_period,
+            rr_seeds,
+            model,
+            profile,
+            tag: _,          // display-only
+            prefix_chain: _, // execution strategy, not identity
+        } = r;
+        let mut key = vec![
+            tag,
+            self.workload(workload),
+            *scheme as u64,
+            self.cfg(cfg),
+            *run_cycles,
+        ];
+        match params {
+            Some(p) => {
+                key.push(1);
+                params_key(p, &mut key);
+            }
+            None => key.push(0),
+        }
+        match t_period {
+            Some(t) => key.extend([1, *t]),
+            None => key.push(0),
+        }
+        key.push(rr_seeds.len() as u64);
+        key.extend(rr_seeds);
+        // Dependencies by slot, offset so that 0 means "none".
+        let model = model.as_ref().map_or(0, |m| {
+            let k = self.train_key(m);
+            self.slot_of(k) as u64 + 1
+        });
+        let profile = profile.as_ref().map_or(0, |p| {
+            let k = self.profile_key(p);
+            self.slot_of(k) as u64 + 1
+        });
+        key.extend([model, profile]);
+        key
+    }
+
+    /// Render `job`'s spec text (see [`SimJob::spec_text`]) from the
+    /// memoised component lines and dependency identities.
+    fn render(&mut self, job: &SimJob) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        let _ = writeln!(s, "job {}", job.kind());
+        match job {
+            SimJob::Profile(p) => {
+                let _ = writeln!(s, "{}", self.workload_line(&p.workload));
+                let _ = writeln!(s, "cfg {}", self.cfg_line(&p.cfg));
+                let _ = writeln!(s, "{}", self.grid_line(&p.grid));
+                let _ = writeln!(s, "{}", self.window_line(&p.window));
+            }
+            SimJob::Pbest(p) => {
+                let _ = writeln!(s, "{}", self.workload_line(&p.workload));
+                let _ = writeln!(s, "cfg {}", self.cfg_line(&p.cfg));
+                let _ = writeln!(s, "{}", self.window_line(&p.window));
+            }
+            SimJob::TupleRun(t) => {
+                let _ = writeln!(s, "{}", self.workload_line(&t.workload));
+                let _ = writeln!(s, "cfg {}", self.cfg_line(&t.cfg));
+                let _ = writeln!(s, "{}", spec_render::tuple(&t.tuple));
+                let _ = writeln!(s, "{}", self.window_line(&t.window));
+            }
+            SimJob::Sample(p) => {
+                let _ = writeln!(s, "{}", self.workload_line(&p.workload));
+                let _ = writeln!(s, "cfg {}", self.cfg_line(&p.cfg));
+                let _ = writeln!(s, "{}", self.grid_line(&p.grid));
+                let _ = writeln!(s, "{}", self.window_line(&p.window));
+                let _ = writeln!(s, "{}", spec_render::scoring(&p.scoring));
+            }
+            SimJob::Train(m) => {
+                for k in &m.kernels {
+                    let _ = writeln!(s, "{}", self.workload_line(k));
+                }
+                let _ = writeln!(s, "cfg {}", self.cfg_line(&m.cfg));
+                let _ = writeln!(s, "{}", self.grid_line(&m.grid));
+                let _ = writeln!(s, "{}", self.window_line(&m.window));
+                let _ = writeln!(s, "{}", spec_render::scoring(&m.scoring));
+                let _ = writeln!(
+                    s,
+                    "drop_features {}",
+                    spec_render::int_list(&m.drop_features)
+                );
+            }
+            // A prefix renders the same input lines as the run it was
+            // factored from (under its own `job prefix` header): its
+            // identity is exactly "the simulation of these inputs up to
+            // run_cycles", which is what suffix runs resolve against.
+            SimJob::Run(r) | SimJob::Prefix(r) => {
+                let _ = writeln!(s, "{}", self.workload_line(&r.workload));
+                let _ = writeln!(s, "scheme {}", r.scheme.name());
+                let _ = writeln!(s, "cfg {}", self.cfg_line(&r.cfg));
+                let _ = writeln!(s, "run_cycles {}", r.run_cycles);
+                if let Some(p) = &r.params {
+                    let _ = writeln!(s, "{}", spec_render::params(p));
+                }
+                if let Some(t) = r.t_period {
+                    let _ = writeln!(s, "t_period {t}");
+                }
+                if !r.rr_seeds.is_empty() {
+                    let _ = writeln!(s, "rr_seeds {}", spec_render::int_list(&r.rr_seeds));
+                }
+                if let Some(m) = &r.model {
+                    let key = self.train_key(m);
+                    let id = self.identity(key, |ids| ids.render(&SimJob::Train((**m).clone())));
+                    let _ = writeln!(s, "model {}", id.hex);
+                }
+                if let Some(p) = &r.profile {
+                    let key = self.profile_key(p);
+                    let id = self.identity(key, |ids| ids.render(&SimJob::Profile((**p).clone())));
+                    let _ = writeln!(s, "profile {}", id.hex);
+                }
+            }
+        }
+        s
+    }
+
+    fn workload_line(&mut self, w: &Workload) -> &str {
+        let id = self.workload(w);
+        self.line(id)
+    }
+
+    fn cfg_line(&mut self, c: &GpuConfig) -> &str {
+        let id = self.cfg(c);
+        self.line(id)
+    }
+
+    fn grid_line(&mut self, g: &GridSpec) -> &str {
+        let id = self.grid(g);
+        self.line(id)
+    }
+
+    fn window_line(&mut self, w: &ProfileWindow) -> &str {
+        let id = self.window(w);
+        self.line(id)
     }
 }
 
@@ -1201,34 +1666,50 @@ impl JobOutput {
 // The engine.
 // ---------------------------------------------------------------------------
 
+/// One job's result in a [`ResultStore`].
+#[derive(Debug)]
+struct Resolved {
+    result: Result<JobOutput, String>,
+    /// Execution wall seconds: measured for executed jobs, recalled from
+    /// the entry's metadata for cache hits — so throughput-reporting
+    /// figures render identically cold and warm.
+    wall: f64,
+    /// SHA-256 of the output's text, computed when the first dependant
+    /// digests it (see [`SimJob::dep_digest`]).
+    digest: OnceLock<String>,
+}
+
 /// Resolved results of an engine run, addressed by job spec.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    pub(crate) outputs: HashMap<String, Result<JobOutput, String>>,
-    /// Execution wall seconds per job spec: measured for executed jobs,
-    /// recalled from the entry's metadata for cache hits — so
-    /// throughput-reporting figures render identically cold and warm.
-    pub(crate) walls: HashMap<String, f64>,
+    /// Per job, by spec hash.
+    entries: HashMap<SpecHash, Resolved>,
+    /// The identity memo of the pass that filled the store, through which
+    /// lookups find their job's hash.
+    ids: Mutex<JobIds>,
 }
 
 impl ResultStore {
+    fn entry(&self, job: &SimJob) -> Option<&Resolved> {
+        let hash = self.ids.lock().expect("identity memo").id(job).hash;
+        self.entries.get(&hash)
+    }
+
     /// Fetch a job's output; `Err` carries the failure (or "never ran").
     pub fn get(&self, job: &SimJob) -> Result<&JobOutput, String> {
-        match self.outputs.get(&job.spec_text()) {
+        match self.entry(job).map(|e| &e.result) {
             Some(Ok(o)) => Ok(o),
             Some(Err(e)) => Err(e.clone()),
             None => Err(format!("{} was not executed", job.label())),
         }
     }
 
-    /// The execution wall seconds of a job's simulation (see `walls`).
-    /// `None` for failed/never-run jobs or entries predating the
-    /// metadata.
+    /// The execution wall seconds of a job's simulation. `None` for
+    /// failed/never-run jobs or entries predating the metadata.
     pub fn wall(&self, job: &SimJob) -> Option<f64> {
-        self.walls
-            .get(&job.spec_text())
-            .copied()
-            .filter(|w| *w > 0.0)
+        self.entry(job)
+            .filter(|e| e.result.is_ok() && e.wall > 0.0)
+            .map(|e| e.wall)
     }
 
     /// The profile grid for `spec`.
@@ -1481,10 +1962,10 @@ pub trait ProgressSink: Send + Sync {
 /// `(spec_hash, label)` pairs in stable execution order — the identity
 /// set [`JobEvent::spec_hash`] refers to.
 pub fn graph_closure(jobs: &[SimJob]) -> Vec<(String, String)> {
-    let JobGraph { by_spec, order } = expand_graph(jobs);
-    order
+    expand_graph(jobs)
+        .nodes
         .iter()
-        .map(|spec| (sha256_hex(spec), by_spec[spec].label()))
+        .map(|n| (n.id.hex.clone(), n.job.label()))
         .collect()
 }
 
@@ -1534,33 +2015,62 @@ impl Watchdog {
     }
 }
 
+/// One job of an expanded graph, its identities resolved up front.
+struct Node {
+    job: SimJob,
+    id: Arc<JobId>,
+    /// The identities of [`SimJob::deps`], in that order.
+    deps: Vec<Arc<JobId>>,
+    /// The identity of the synthetic [`SimJob::Prefix`] at each barrier
+    /// of the job's prefix chain.
+    chain: Vec<Arc<JobId>>,
+}
+
 /// The deduplicated dependency closure of a requested job set, in
-/// stable execution order.
+/// stable execution order, and the memo that identified it.
 struct JobGraph {
-    by_spec: HashMap<String, SimJob>,
-    order: Vec<String>,
+    nodes: Vec<Node>,
+    ids: JobIds,
 }
 
 /// Expand `jobs` to their transitive dependency closure, deduplicated by
-/// canonical spec, ordered by wave then expansion order.
+/// spec hash, ordered by wave then expansion order.
 fn expand_graph(jobs: &[SimJob]) -> JobGraph {
-    let mut by_spec: HashMap<String, SimJob> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut ids = JobIds::default();
+    let mut seen: HashSet<SpecHash> = HashSet::new();
+    let mut nodes: Vec<Node> = Vec::new();
     let mut worklist: Vec<SimJob> = jobs.to_vec();
     while let Some(job) = worklist.pop() {
-        let spec = job.spec_text();
-        if by_spec.contains_key(&spec) {
+        let id = ids.id(&job);
+        if !seen.insert(id.hash) {
             continue;
         }
-        worklist.extend(job.deps());
-        by_spec.insert(spec.clone(), job);
-        order.push(spec);
+        let deps = job.deps();
+        let dep_ids = deps.iter().map(|d| ids.id(d)).collect();
+        let chain = match &job {
+            SimJob::Run(r) | SimJob::Prefix(r) => r
+                .prefix_chain
+                .iter()
+                .enumerate()
+                .map(|(i, &cycles)| {
+                    ids.id(&SimJob::Prefix(r.prefix_at(cycles, &r.prefix_chain[..i])))
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        worklist.extend(deps);
+        nodes.push(Node {
+            job,
+            id,
+            deps: dep_ids,
+            chain,
+        });
     }
     // Stable order: wave, then expansion order (reversed so that the
     // originally-requested jobs come before late-discovered deps of
     // the same wave — purely cosmetic, execution is parallel anyway).
-    order.sort_by_key(|s| by_spec[s].wave());
-    JobGraph { by_spec, order }
+    nodes.sort_by_key(|n| n.job.wave());
+    JobGraph { nodes, ids }
 }
 
 /// Factor the declared jobs into shared prefixes and suffix runs.
@@ -1588,26 +2098,28 @@ fn expand_graph(jobs: &[SimJob]) -> JobGraph {
 /// machine state.
 ///
 /// Returns the number of runs that will fork from a shared prefix (the
-/// `prefix_shared` figure in `run_all` reports).
-pub fn factor_prefixes(jobs: &mut Vec<SimJob>, snapshot_every: u64) -> usize {
-    // Group factorable runs by their horizon-free identity.
-    let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
+/// `prefix_shared` figure in `run_all` reports). `ids` is the planning
+/// pass's identity memo.
+pub fn factor_prefixes(jobs: &mut Vec<SimJob>, snapshot_every: u64, ids: &mut JobIds) -> usize {
+    // Group factorable runs by their horizon-free identity, groups in
+    // order of first declaration (a deterministic emission order).
+    let mut group_of: HashMap<usize, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         let SimJob::Run(r) = job else { continue };
         if r.scheme == Scheme::RandomRestart {
             continue;
         }
-        groups
-            .entry(SimJob::Run(r.prefix_at(0, &[])).spec_text())
-            .or_default()
-            .push(i);
+        let slot = ids.slot(&SimJob::Run(r.prefix_at(0, &[])));
+        let g = *group_of.entry(slot).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
     }
     let mut shared = 0;
     let mut prefixes: Vec<SimJob> = Vec::new();
-    let mut group_keys: Vec<&String> = groups.keys().collect();
-    group_keys.sort(); // deterministic emission order
-    for key in group_keys {
-        let idxs = &groups[key];
+    for idxs in &groups {
         let mut ladder: Vec<u64> = idxs
             .iter()
             .map(|&i| match &jobs[i] {
@@ -1660,15 +2172,6 @@ pub fn factor_prefixes(jobs: &mut Vec<SimJob>, snapshot_every: u64) -> usize {
     shared
 }
 
-/// A job's cache identity, resolvable once its dependencies are in the
-/// store (the key hashes dependency-output digests).
-struct JobIdentity {
-    kind: &'static str,
-    spec: String,
-    /// The full cache key (spec + dependency digests).
-    key: String,
-}
-
 /// What [`Engine::run_one`] hands back to the wave loop.
 struct Disposition {
     result: Result<JobOutput, String>,
@@ -1718,7 +2221,7 @@ struct EventDetail {
 struct PrefixPoint {
     cycles: u64,
     key: String,
-    spec: String,
+    id: Arc<JobId>,
 }
 
 /// The engine's [`PrefixStore`]: snapshot blobs are ordinary cache
@@ -1759,7 +2262,7 @@ impl PrefixStore for PrefixIo<'_> {
             self.cache.store(
                 "prefix",
                 &p.key,
-                &p.spec,
+                &p.id.text,
                 blob,
                 self.t0.elapsed().as_secs_f64(),
             );
@@ -1837,10 +2340,10 @@ impl Engine {
     /// in the store.
     pub fn run(&self, jobs: &[SimJob]) -> (ResultStore, RunReport) {
         let t0 = Instant::now();
-        let JobGraph { by_spec, order } = expand_graph(jobs);
-        let total = order.len();
+        let JobGraph { nodes, ids } = expand_graph(jobs);
+        let total = nodes.len();
 
-        let mut store = ResultStore::default();
+        let mut entries: HashMap<SpecHash, Resolved> = HashMap::with_capacity(total);
         let mut report = RunReport {
             total,
             ..RunReport::default()
@@ -1862,19 +2365,15 @@ impl Engine {
         // Distinct waves actually present, ascending: the classic three
         // (leaves → fits → runs) plus one wave per prefix-chain depth
         // when the plan was prefix-factored.
-        let mut waves: Vec<usize> = order.iter().map(|s| by_spec[s].wave()).collect();
+        let mut waves: Vec<usize> = nodes.iter().map(|n| n.job.wave()).collect();
         waves.sort_unstable();
         waves.dedup();
         for wave in waves {
-            let wave_jobs: Vec<&SimJob> = order
-                .iter()
-                .map(|s| &by_spec[s])
-                .filter(|j| j.wave() == wave)
-                .collect();
-            let results: Vec<(String, Disposition)> =
-                crate::parallel::parallel_map(&wave_jobs, |job| {
+            let wave_nodes: Vec<&Node> = nodes.iter().filter(|n| n.job.wave() == wave).collect();
+            let results: Vec<(&Node, Disposition)> =
+                crate::parallel::parallel_map(&wave_nodes, |node| {
                     let jt = Instant::now();
-                    let d = self.run_one(job, &store, &watchdog);
+                    let d = self.run_one(node, &entries, &watchdog);
                     let i = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if !self.quiet {
                         let status = match (&d.result, d.was_hit) {
@@ -1889,12 +2388,11 @@ impl Engine {
                             ),
                             (Err(e), _) => format!("FAILED: {e}"),
                         };
-                        eprintln!("[engine] {i}/{total} {} {status}", job.label());
+                        eprintln!("[engine] {i}/{total} {} {status}", node.job.label());
                     }
-                    (job.spec_text(), d)
+                    (*node, d)
                 });
-            for (spec, d) in results {
-                let label = by_spec[&spec].label();
+            for (node, d) in results {
                 match (&d.result, d.attempts.as_slice()) {
                     (Ok(_), []) if d.was_hit => report.cache_hits += 1,
                     (Ok(_), []) => report.executed += 1,
@@ -1903,13 +2401,14 @@ impl Engine {
                         report.retried += 1;
                         report.recovered += 1;
                         report.trouble.push(JobTrouble {
-                            label,
-                            spec_hash: sha256_hex(&spec),
+                            label: node.job.label(),
+                            spec_hash: node.id.hex.clone(),
                             attempts: d.attempts,
                             outcome: JobOutcome::Recovered,
                         });
                     }
                     (Err(e), attempts) => {
+                        let label = node.job.label();
                         report.failed.push((label.clone(), e.clone()));
                         let timed_out = attempts
                             .last()
@@ -1922,7 +2421,7 @@ impl Engine {
                         }
                         report.trouble.push(JobTrouble {
                             label,
-                            spec_hash: sha256_hex(&spec),
+                            spec_hash: node.id.hex.clone(),
                             attempts: d.attempts,
                             outcome: if timed_out {
                                 JobOutcome::TimedOut
@@ -1932,10 +2431,14 @@ impl Engine {
                         });
                     }
                 }
-                if d.result.is_ok() {
-                    store.walls.insert(spec.clone(), d.wall);
-                }
-                store.outputs.insert(spec, d.result);
+                entries.insert(
+                    node.id.hash,
+                    Resolved {
+                        result: d.result,
+                        wall: d.wall,
+                        digest: OnceLock::new(),
+                    },
+                );
             }
         }
 
@@ -1948,53 +2451,38 @@ impl Engine {
         if !self.quiet {
             eprintln!("[engine] {}", report.summary_line());
         }
+        let store = ResultStore {
+            entries,
+            ids: Mutex::new(ids),
+        };
         (store, report)
     }
 
-    /// Resolve a job's cache identity against `store` (dependencies must
-    /// already be resolved there — their output digests enter the key).
-    /// `Err` carries the dependency-failure message.
-    fn identify(&self, job: &SimJob, store: &ResultStore) -> Result<JobIdentity, String> {
-        let mut dep_digests = String::new();
-        for dep in &job.deps() {
-            match store.get(dep) {
-                Ok(o) => dep_digests.push_str(&format!("dep {}\n", job.dep_digest(dep, o))),
-                Err(e) => return Err(format!("dependency {} failed: {e}", dep.label())),
-            }
-        }
-        let spec = job.spec_text();
-        Ok(JobIdentity {
-            kind: job.kind(),
-            key: sha256_hex(&format!("{CACHE_VERSION}\n{spec}--deps--\n{dep_digests}")),
-            spec,
-        })
-    }
-
-    /// Resolve a job's prefix chain to concrete cache coordinates: each
-    /// barrier cycle maps to the synthetic [`SimJob::Prefix`] at that
-    /// boundary, identified exactly like a real job (spec text + dep
-    /// digests), so a chain entry and the standalone prefix job the
-    /// factoring emitted address the same cache entry. `None` when the job has no chain
-    /// (or its deps failed, in which case `run_one` fails first anyway);
-    /// the job then runs cold.
-    fn prefix_io(&self, job: &SimJob, store: &ResultStore) -> Option<PrefixIo<'_>> {
-        let r = match job {
+    /// The engine's [`PrefixStore`] for `node`: each barrier of its chain
+    /// maps to the cache entry of the synthetic [`SimJob::Prefix`] at that
+    /// boundary, keyed exactly like a real job (spec text + dependency
+    /// digests — the run's own, as a prefix consumes the same inputs), so
+    /// a chain entry and the standalone prefix job the factoring emitted
+    /// address the same cache entry. `None` when the job has no chain; it
+    /// then runs cold.
+    fn prefix_io(&self, node: &Node, dep_digests: &str) -> Option<PrefixIo<'_>> {
+        let r = match &node.job {
             SimJob::Run(r) | SimJob::Prefix(r) => r,
             _ => return None,
         };
         if r.prefix_chain.is_empty() {
             return None;
         }
-        let mut points = Vec::with_capacity(r.prefix_chain.len());
-        for (i, &cycles) in r.prefix_chain.iter().enumerate() {
-            let synth = SimJob::Prefix(r.prefix_at(cycles, &r.prefix_chain[..i]));
-            let id = self.identify(&synth, store).ok()?;
-            points.push(PrefixPoint {
+        let points = r
+            .prefix_chain
+            .iter()
+            .zip(&node.chain)
+            .map(|(&cycles, id)| PrefixPoint {
                 cycles,
-                key: id.key,
-                spec: id.spec,
-            });
-        }
+                key: id.cache_key(dep_digests),
+                id: Arc::clone(id),
+            })
+            .collect();
         Some(PrefixIo {
             cache: &self.cache,
             boundaries: r.prefix_chain.clone(),
@@ -2003,49 +2491,64 @@ impl Engine {
         })
     }
 
-    /// Run (or load) one job whose dependencies are already in `store`,
-    /// with bounded retry for transient failures and timeouts, a
-    /// watchdog deadline per attempt, and injected execution faults when
+    /// Run (or load) one job whose dependencies are already in
+    /// `entries`, with bounded retry for transient failures and timeouts,
+    /// a watchdog deadline per attempt, and injected execution faults when
     /// a plan is installed.
-    fn run_one(&self, job: &SimJob, store: &ResultStore, watchdog: &Watchdog) -> Disposition {
+    fn run_one(
+        &self,
+        node: &Node,
+        entries: &HashMap<SpecHash, Resolved>,
+        watchdog: &Watchdog,
+    ) -> Disposition {
         let fail = |attempts: Vec<AttemptRecord>, error: String| Disposition {
             result: Err(error),
             was_hit: false,
             wall: 0.0,
             attempts,
         };
+        let job = &node.job;
+        let spec_hash = &node.id.hex;
 
-        let identity = match self.identify(job, store) {
-            Ok(i) => i,
-            Err(error) => {
-                self.emit(
-                    &job.label(),
-                    &sha256_hex(&job.spec_text()),
-                    JobStatus::Failed,
-                    EventDetail {
-                        error: Some(error.clone()),
-                        ..EventDetail::default()
-                    },
-                );
-                return fail(
-                    vec![AttemptRecord {
-                        class: FailClass::Dependency,
-                        error: error.clone(),
-                        backoff_ms: 0,
-                        wall_ms: 0,
-                    }],
-                    error,
-                );
-            }
-        };
-        let deps = job.deps();
-        let dep_outputs: Vec<&JobOutput> = deps
-            .iter()
-            .map(|d| store.get(d).expect("identify() checked every dep"))
-            .collect();
-        let JobIdentity {
-            kind, spec, key, ..
-        } = identity;
+        // The dependency outputs, and their digests for the cache key.
+        let mut dep_outputs: Vec<&JobOutput> = Vec::with_capacity(node.deps.len());
+        let mut dep_digests = String::new();
+        for (i, dep) in node.deps.iter().enumerate() {
+            let error = match entries.get(&dep.hash) {
+                Some(Resolved {
+                    result: Ok(out),
+                    digest,
+                    ..
+                }) => {
+                    dep_digests.push_str(&format!("dep {}\n", job.dep_digest(out, digest)));
+                    dep_outputs.push(out);
+                    continue;
+                }
+                Some(Resolved { result: Err(e), .. }) => e.clone(),
+                None => format!("{} was not executed", job.deps()[i].label()),
+            };
+            let error = format!("dependency {} failed: {error}", job.deps()[i].label());
+            self.emit(
+                &job.label(),
+                spec_hash,
+                JobStatus::Failed,
+                EventDetail {
+                    error: Some(error.clone()),
+                    ..EventDetail::default()
+                },
+            );
+            return fail(
+                vec![AttemptRecord {
+                    class: FailClass::Dependency,
+                    error: error.clone(),
+                    backoff_ms: 0,
+                    wall_ms: 0,
+                }],
+                error,
+            );
+        }
+        let kind = job.kind();
+        let key = node.id.cache_key(&dep_digests);
         let skip_cache = self.retrain && matches!(job, SimJob::Train(_) | SimJob::Sample(_));
         // Wall seconds recorded by a prior execution whose entry was just
         // quarantined — the best deadline budget for the re-run.
@@ -2056,7 +2559,7 @@ impl Engine {
                     if let Some(out) = JobOutput::from_text(kind, &body) {
                         self.emit(
                             &job.label(),
-                            &sha256_hex(&spec),
+                            spec_hash,
                             JobStatus::Hit,
                             EventDetail {
                                 wall,
@@ -2085,8 +2588,7 @@ impl Engine {
         let deadline = self
             .deadline
             .or_else(|| prior_wall.map(|w| (4.0 * w).max(1.0)));
-        let prefixes = self.prefix_io(job, store);
-        let spec_hash = sha256_hex(&spec);
+        let prefixes = self.prefix_io(node, &dep_digests);
         let label = job.label();
         let mut attempts: Vec<AttemptRecord> = Vec::new();
 
@@ -2095,7 +2597,7 @@ impl Engine {
             let injected = self
                 .faults
                 .as_ref()
-                .and_then(|p| p.exec_fault(&spec_hash, attempt));
+                .and_then(|p| p.exec_fault(spec_hash, attempt));
             // A stall is only meaningful under a watchdog: without a
             // deadline nothing would ever cancel it and the wave would
             // wedge, so it degrades to a transient error.
@@ -2111,7 +2613,7 @@ impl Engine {
             }
             self.emit(
                 &label,
-                &spec_hash,
+                spec_hash,
                 JobStatus::Started,
                 EventDetail {
                     attempts: attempt,
@@ -2148,7 +2650,7 @@ impl Engine {
             if let Ok(Ok(out)) = &executed {
                 if !cancelled {
                     let body = out.to_text();
-                    self.cache.store(kind, &key, &spec, &body, wall);
+                    self.cache.store(kind, &key, &node.id.text, &body, wall);
                     // Canonicalise through the serialisation so a cold
                     // run returns bit-identical values to a later warm
                     // run. A non-round-tripping output is a bug in the
@@ -2158,7 +2660,7 @@ impl Engine {
                         Some(canonical) => {
                             self.emit(
                                 &label,
-                                &spec_hash,
+                                spec_hash,
                                 if attempts.is_empty() {
                                     JobStatus::Done
                                 } else {
@@ -2185,7 +2687,7 @@ impl Engine {
                             );
                             self.emit(
                                 &label,
-                                &spec_hash,
+                                spec_hash,
                                 JobStatus::Failed,
                                 EventDetail {
                                     attempts: attempts.len() as u32,
@@ -2238,7 +2740,7 @@ impl Engine {
                 let error = format!("{prefix}{error}");
                 self.emit(
                     &label,
-                    &spec_hash,
+                    spec_hash,
                     JobStatus::Failed,
                     EventDetail {
                         attempts: attempts.len() as u32,
@@ -2251,7 +2753,7 @@ impl Engine {
             let backoff = self.backoff_base * 2u32.saturating_pow(attempt);
             self.emit(
                 &label,
-                &spec_hash,
+                spec_hash,
                 JobStatus::Retried,
                 EventDetail {
                     attempts: attempt + 1,
@@ -2558,7 +3060,7 @@ mod tests {
             .iter()
             .map(|&c| run_at(17, Scheme::Gto, c, &setup))
             .collect();
-        factor_prefixes(&mut factored, 0);
+        factor_prefixes(&mut factored, 0, &mut JobIds::default());
         // 3 entries on disk: both runs and the 4k blob. fsck validates
         // blob structure and snapshot grammar.
         let (engine, dir) = tmp_engine("prefix-gc");
@@ -2841,6 +3343,358 @@ mod tests {
         assert_eq!(gto_a.spec_text(), gto_b.spec_text());
     }
 
+    #[test]
+    fn equal_specs_built_apart_share_one_identity() {
+        let setup = tiny_setup();
+        let model = ModelSpec::default_training(&setup);
+        let build = || {
+            // A fresh model copy each time: no Arc is shared between the two.
+            SimJob::Run(KernelRunSpec::new(
+                &kernel(7),
+                Scheme::Poise,
+                &setup,
+                Some(&model),
+            ))
+        };
+        let (a, b) = (build(), build());
+        let mut ids = JobIds::default();
+        let (ia, ib) = (ids.id(&a), ids.id(&b));
+        assert!(Arc::ptr_eq(&ia, &ib), "one identity per distinct spec");
+        assert_eq!(ia.text, a.spec_text());
+        assert_eq!(ia.hex, sha256_hex(&a.spec_text()));
+        // The nested model line came from the memoised Train identity.
+        let train = ids.id(&SimJob::Train(model.clone()));
+        assert!(ia.text.contains(&format!("model {}", train.hex)));
+    }
+
+    #[test]
+    fn specs_perturbed_after_a_lookup_get_new_identities() {
+        // Every rendered field of every job kind, edited in place after
+        // the spec's identity was looked up, must yield the identity a
+        // fresh render gives — never the memoised one.
+        let setup = tiny_setup();
+        let mut model = ModelSpec::default_training(&setup);
+        model.kernels.truncate(2);
+        let profile = ProfileSpec {
+            workload: kernel(8),
+            cfg: setup.cfg.clone(),
+            grid: GridSpec::diagonal(4),
+            window: setup.profile_window,
+        };
+        let run = |scheme| {
+            let m = (scheme == Scheme::Poise).then_some(&model);
+            SimJob::Run(KernelRunSpec::new(&kernel(8), scheme, &setup, m))
+        };
+        type Edit = fn(&mut SimJob);
+        let cases: Vec<(SimJob, Vec<Edit>)> = vec![
+            (
+                SimJob::Profile(profile.clone()),
+                vec![
+                    |j| {
+                        if let SimJob::Profile(p) = j {
+                            p.workload.synthetic_mut().unwrap().seed += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Profile(p) = j {
+                            p.cfg.l1_mshrs += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Profile(p) = j {
+                            p.grid = GridSpec::diagonal(5)
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Profile(p) = j {
+                            p.window.warmup += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Profile(p) = j {
+                            p.window.measure += 1
+                        }
+                    },
+                ],
+            ),
+            (
+                SimJob::Pbest(PbestSpec {
+                    workload: kernel(8),
+                    cfg: setup.cfg.clone(),
+                    window: setup.profile_window,
+                }),
+                vec![
+                    |j| {
+                        if let SimJob::Pbest(p) = j {
+                            p.workload.synthetic_mut().unwrap().phases[0].mix.hot_frac += 0.01
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Pbest(p) = j {
+                            p.cfg.energy.alu_op += 1.0
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Pbest(p) = j {
+                            p.window.measure += 1
+                        }
+                    },
+                ],
+            ),
+            (
+                SimJob::TupleRun(TupleRunSpec {
+                    workload: kernel(8),
+                    cfg: setup.cfg.clone(),
+                    tuple: WarpTuple { n: 4, p: 2 },
+                    window: setup.profile_window,
+                }),
+                vec![
+                    |j| {
+                        if let SimJob::TupleRun(t) = j {
+                            t.tuple.n += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::TupleRun(t) = j {
+                            t.tuple.p += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::TupleRun(t) = j {
+                            t.cfg.sms += 1
+                        }
+                    },
+                ],
+            ),
+            (
+                SimJob::Sample(model.sample_specs().remove(0)),
+                vec![
+                    |j| {
+                        if let SimJob::Sample(p) = j {
+                            p.grid = GridSpec::coarse(8)
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Sample(p) = j {
+                            p.window.warmup += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Sample(p) = j {
+                            p.scoring.0[2] += 0.5
+                        }
+                    },
+                ],
+            ),
+            (
+                SimJob::Train(model.clone()),
+                vec![
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.kernels[1].synthetic_mut().unwrap().seed += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.kernels.truncate(1)
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.cfg.l2.banks += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.grid = GridSpec::diagonal(3)
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.window.measure += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.scoring.0[0] += 1.0
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Train(m) = j {
+                            m.drop_features.push(2)
+                        }
+                    },
+                ],
+            ),
+            (
+                run(Scheme::Poise),
+                vec![
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.workload.synthetic_mut().unwrap().seed += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.cfg.l1_mshrs += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.run_cycles += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.params.as_mut().unwrap().stride_n += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.params.as_mut().unwrap().i_max += 1.0
+                        }
+                    },
+                    // The shared model is copied on write, so the memo's
+                    // stored copy keeps its value.
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            Arc::make_mut(r.model.as_mut().unwrap()).kernels[0]
+                                .synthetic_mut()
+                                .unwrap()
+                                .seed += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            Arc::make_mut(r.model.as_mut().unwrap()).drop_features = vec![2]
+                        }
+                    },
+                ],
+            ),
+            (
+                run(Scheme::Swl),
+                vec![
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            Arc::make_mut(r.profile.as_mut().unwrap()).grid = GridSpec::diagonal(3)
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            Arc::make_mut(r.profile.as_mut().unwrap()).window.warmup += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.scheme = Scheme::PcalSwl
+                        }
+                    },
+                ],
+            ),
+            (
+                run(Scheme::RandomRestart),
+                vec![
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            *r.t_period.as_mut().unwrap() += 1
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            r.rr_seeds.push(99)
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Run(r) = j {
+                            *j = SimJob::Prefix(r.clone());
+                        }
+                    },
+                    |j| {
+                        if let SimJob::Prefix(r) = j {
+                            r.run_cycles += 1
+                        }
+                    },
+                ],
+            ),
+        ];
+        let mut ids = JobIds::default();
+        let mut seen = std::collections::HashSet::new();
+        let mut check = |ids: &mut JobIds, job: &SimJob| {
+            let id = ids.id(job);
+            assert_eq!(
+                id.text(),
+                job.spec_text(),
+                "memo disagrees with a fresh render"
+            );
+            assert!(
+                seen.insert(*id.hash()),
+                "{}: a perturbed spec reused an identity",
+                job.label()
+            );
+        };
+        for (mut job, edits) in cases {
+            check(&mut ids, &job);
+            for edit in edits {
+                edit(&mut job);
+                check(&mut ids, &job);
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_are_distinct_identities() {
+        // `PartialEq` equates 0.0 and -0.0; the spec lines do not.
+        let setup = tiny_setup();
+        let mut ids = JobIds::default();
+        let mut w = kernel(9);
+        w.synthetic_mut().unwrap().phases[0].mix.store_frac = 0.0;
+        let mut neg = w.clone();
+        neg.synthetic_mut().unwrap().phases[0].mix.store_frac = -0.0;
+        let mut cfg_neg = setup.clone();
+        cfg_neg.cfg.energy.leakage_per_sm_cycle = -0.0;
+        let mut cfg_pos = setup.clone();
+        cfg_pos.cfg.energy.leakage_per_sm_cycle = 0.0;
+        for (a, b) in [
+            (
+                KernelRunSpec::new(&w, Scheme::Gto, &setup, None),
+                KernelRunSpec::new(&neg, Scheme::Gto, &setup, None),
+            ),
+            (
+                KernelRunSpec::new(&w, Scheme::Gto, &cfg_pos, None),
+                KernelRunSpec::new(&w, Scheme::Gto, &cfg_neg, None),
+            ),
+        ] {
+            assert_eq!(a, b, "PartialEq cannot tell these apart");
+            let (a, b) = (SimJob::Run(a), SimJob::Run(b));
+            let (ia, ib) = (ids.id(&a), ids.id(&b));
+            assert_ne!(ia.hash, ib.hash);
+            assert_eq!(
+                (ia.text.clone(), ib.text.clone()),
+                (a.spec_text(), b.spec_text())
+            );
+        }
+    }
+
+    #[test]
+    fn engine_only_knobs_share_a_slot() {
+        // `sim_threads` never renders, so two configs differing only there
+        // are one spec to the planner as they are to the cache.
+        let setup = tiny_setup();
+        let mut threaded = setup.clone();
+        threaded.cfg.sim_threads = 4;
+        let mut ids = JobIds::default();
+        let a = SimJob::Run(KernelRunSpec::new(&kernel(10), Scheme::Swl, &setup, None));
+        let b = SimJob::Run(KernelRunSpec::new(
+            &kernel(10),
+            Scheme::Swl,
+            &threaded,
+            None,
+        ));
+        assert_ne!(a, b);
+        assert_eq!(ids.slot(&a), ids.slot(&b));
+        assert!(Arc::ptr_eq(&ids.id(&a), &ids.id(&b)));
+    }
+
     /// A run at `cycles` for `kernel(seed)` under `scheme`.
     fn run_at(seed: u64, scheme: Scheme, cycles: u64, setup: &Setup) -> SimJob {
         let mut r = KernelRunSpec::new(&kernel(seed), scheme, setup, None);
@@ -2868,7 +3722,7 @@ mod tests {
             run_at(7, Scheme::RandomRestart, 10_000, &setup),
             run_at(7, Scheme::RandomRestart, 20_000, &setup),
         ];
-        let shared = factor_prefixes(&mut jobs, 0);
+        let shared = factor_prefixes(&mut jobs, 0, &mut JobIds::default());
         assert_eq!(shared, 3, "only the GTO ladder forks");
         // Two prefixes appended: GTO@10k (root) and GTO@20k (chained).
         assert_eq!(jobs.len(), 8);
@@ -2897,7 +3751,10 @@ mod tests {
         // A single run gains periodic checkpoints but no prefix jobs —
         // nothing shares them, they only bound lost work on re-entry.
         let mut solo = vec![run_at(3, Scheme::Gto, 40_000, &setup)];
-        assert_eq!(factor_prefixes(&mut solo, 15_000), 0);
+        assert_eq!(
+            factor_prefixes(&mut solo, 15_000, &mut JobIds::default()),
+            0
+        );
         assert_eq!(solo.len(), 1);
         assert_eq!(chain_of(&solo[0]), &[15_000, 30_000]);
         // In a ladder, checkpoints merge into the chains but prefixes
@@ -2906,7 +3763,7 @@ mod tests {
             run_at(3, Scheme::Gto, 20_000, &setup),
             run_at(3, Scheme::Gto, 40_000, &setup),
         ];
-        let shared = factor_prefixes(&mut jobs, 15_000);
+        let shared = factor_prefixes(&mut jobs, 15_000, &mut JobIds::default());
         assert_eq!(shared, 2);
         assert_eq!(jobs.len(), 3);
         assert!(matches!(&jobs[2], SimJob::Prefix(r) if r.run_cycles == 20_000));
@@ -2932,7 +3789,7 @@ mod tests {
         assert_eq!(cold_report.executed, 6);
 
         let mut factored = declared.clone();
-        let shared = factor_prefixes(&mut factored, 0);
+        let shared = factor_prefixes(&mut factored, 0, &mut JobIds::default());
         assert_eq!(shared, 6);
         let (fork_engine, fork_dir) = tmp_engine("prefix-fork");
         let (fork_store, fork_report) = fork_engine.run(&factored);
@@ -2989,7 +3846,7 @@ mod tests {
             .map(|&c| run_at(13, Scheme::Gto, c, &setup))
             .collect();
         let mut factored = declared.clone();
-        factor_prefixes(&mut factored, 0);
+        factor_prefixes(&mut factored, 0, &mut JobIds::default());
         let (engine, dir) = tmp_engine("prefix-heal");
         let (store1, r1) = engine.run(&factored);
         assert_eq!(r1.executed, 5);

@@ -31,12 +31,12 @@
 //! sweep; shared jobs stay untagged.
 
 use crate::experiment::Setup;
-use crate::jobs::SimJob;
+use crate::jobs::{JobIds, SimJob};
 use crate::profiler::GridSpec;
 use gpu_sim::SetIndexing;
 use poise_ml::ScoringWeights;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -667,46 +667,47 @@ impl ExperimentPlan {
     /// tag, and count the specs shared between points (over the full
     /// dependency closure, so a model fit a sweep deploys at every
     /// point is counted even though figures declare only the runs).
-    pub fn expand(&self, jobs: impl Fn(&Setup) -> Vec<SimJob>) -> PlanExpansion {
+    /// `ids` is the planning pass's identity memo; two jobs are the same
+    /// spec when their memo slots are.
+    pub fn expand(&self, ids: &mut JobIds, jobs: impl Fn(&Setup) -> Vec<SimJob>) -> PlanExpansion {
         let points = self.points();
-        let mut per_point: Vec<Vec<SimJob>> = Vec::with_capacity(points.len());
-        // spec -> set of point indices reaching it (declared or as a dep).
-        let mut reached_by: HashMap<String, Vec<usize>> = HashMap::new();
+        // Per point: the declared jobs and their slots.
+        let mut per_point: Vec<(Vec<SimJob>, Vec<usize>)> = Vec::with_capacity(points.len());
+        // slot -> point indices reaching it (declared or as a dep).
+        let mut reached_by: HashMap<usize, Vec<usize>> = HashMap::new();
         for (pi, point) in points.iter().enumerate() {
             let declared = jobs(&point.setup);
+            let slots: Vec<usize> = declared.iter().map(|j| ids.slot(j)).collect();
             let mut worklist: Vec<SimJob> = declared.clone();
-            let mut seen_here: std::collections::HashSet<String> = Default::default();
+            let mut seen_here: HashSet<usize> = HashSet::new();
             while let Some(job) = worklist.pop() {
-                let spec = job.spec_text();
-                if !seen_here.insert(spec.clone()) {
+                let slot = ids.slot(&job);
+                if !seen_here.insert(slot) {
                     continue;
                 }
                 worklist.extend(job.deps());
-                let entry = reached_by.entry(spec).or_default();
+                let entry = reached_by.entry(slot).or_default();
                 if entry.last() != Some(&pi) {
                     entry.push(pi);
                 }
             }
-            per_point.push(declared);
+            per_point.push((declared, slots));
         }
 
-        let declared = per_point.iter().map(Vec::len).sum();
+        let declared = per_point.iter().map(|(jobs, _)| jobs.len()).sum();
         let unique = reached_by.len();
         let shared = reached_by.values().filter(|pts| pts.len() >= 2).count();
 
         let mut out = Vec::with_capacity(declared);
-        for (pi, jobs) in per_point.into_iter().enumerate() {
+        for (pi, (jobs, slots)) in per_point.into_iter().enumerate() {
             let tag = &points[pi].tag;
-            for mut job in jobs {
+            for (mut job, slot) in jobs.into_iter().zip(slots) {
                 if !tag.is_empty() {
                     if let SimJob::Run(spec) = &mut job {
                         // Tag only jobs unique to this point; a job shared
                         // across points would otherwise wear the first
                         // declaring point's tag, which is misleading.
-                        if reached_by
-                            .get(&job_spec_cached(spec))
-                            .is_some_and(|pts| pts.len() == 1)
-                        {
+                        if reached_by[&slot].len() == 1 {
                             spec.tag = Some(tag.clone());
                         }
                     }
@@ -723,12 +724,6 @@ impl ExperimentPlan {
             shared,
         }
     }
-}
-
-/// Spec text of a run spec (helper: `SimJob::spec_text` needs the
-/// enum wrapper, but tagging works on the inner spec).
-fn job_spec_cached(spec: &crate::jobs::KernelRunSpec) -> String {
-    SimJob::Run(spec.clone()).spec_text()
 }
 
 #[cfg(test)]
@@ -792,7 +787,7 @@ mod tests {
         // runs themselves must be distinct and tagged per point.
         let plan =
             ExperimentPlan::new(Setup::for_tests(), vec![Axis::run_cycles([10_000, 20_000])]);
-        let exp = plan.expand(|setup| {
+        let exp = plan.expand(&mut JobIds::default(), |setup| {
             vec![SimJob::Run(KernelRunSpec::new(
                 &kernel(1),
                 Scheme::Swl,
@@ -823,7 +818,7 @@ mod tests {
         // Sweeping t_period does not reach a GTO run's spec at all, so
         // the same GTO job is declared by both points: shared, untagged.
         let plan = ExperimentPlan::new(Setup::for_tests(), vec![Axis::t_period([5_000, 9_000])]);
-        let exp = plan.expand(|setup| {
+        let exp = plan.expand(&mut JobIds::default(), |setup| {
             vec![SimJob::Run(KernelRunSpec::new(
                 &kernel(2),
                 Scheme::Gto,

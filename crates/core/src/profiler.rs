@@ -135,6 +135,63 @@ impl GridSpec {
     }
 }
 
+/// A profiled grid together with the steady states it simulated, so a
+/// caller that also needs the baseline or another profiled point reuses
+/// that run instead of simulating it again ([`run_tuple`] is
+/// deterministic, so the reuse is bit-identical).
+pub(crate) struct Profile {
+    /// Speedups relative to `base`.
+    pub grid: SpeedupGrid,
+    /// The run at the maximal tuple `(max, max)`.
+    pub base: SteadyState,
+    /// The run at every other profiled point.
+    points: Vec<SteadyState>,
+}
+
+impl Profile {
+    /// The steady state at `tuple`, if the profile simulated it.
+    pub fn steady(&self, tuple: WarpTuple) -> Option<&SteadyState> {
+        std::iter::once(&self.base)
+            .chain(&self.points)
+            .find(|st| st.tuple == tuple)
+    }
+}
+
+/// [`profile_grid`], keeping the steady states. The baseline is run once:
+/// the grid's `(max, max)` point is the baseline itself.
+pub(crate) fn profile(
+    spec: &Workload,
+    cfg: &GpuConfig,
+    grid: &GridSpec,
+    window: ProfileWindow,
+) -> Profile {
+    let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
+    let base = run_tuple(spec, cfg, WarpTuple::max(max_warps), window);
+    let base_ipc = base.ipc().max(1e-9);
+
+    let tuples: Vec<WarpTuple> = grid
+        .points()
+        .iter()
+        .filter(|&&(n, p)| n <= max_warps && p <= n)
+        .map(|&(n, p)| WarpTuple { n, p })
+        .filter(|&t| t != base.tuple)
+        .collect();
+
+    let points = parallel_map(&tuples, |&t| run_tuple(spec, cfg, t, window));
+
+    let mut out = SpeedupGrid::new(max_warps);
+    for st in &points {
+        out.set(st.tuple.n, st.tuple.p, st.ipc() / base_ipc);
+    }
+    // The baseline point is a speedup of exactly 1 by construction.
+    out.set(max_warps, max_warps, 1.0);
+    Profile {
+        grid: out,
+        base,
+        points,
+    }
+}
+
 /// Profile `spec` over `grid`, returning speedups relative to the maximal
 /// tuple `(max, max)` (the GTO baseline). Runs points in parallel across
 /// the host's cores.
@@ -144,29 +201,7 @@ pub fn profile_grid(
     grid: &GridSpec,
     window: ProfileWindow,
 ) -> SpeedupGrid {
-    let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let base = run_tuple(spec, cfg, WarpTuple::max(max_warps), window);
-    let base_ipc = base.ipc().max(1e-9);
-
-    let points: Vec<(usize, usize)> = grid
-        .points()
-        .iter()
-        .copied()
-        .filter(|&(n, p)| n <= max_warps && p <= n)
-        .collect();
-
-    let results = parallel_map(&points, |&(n, p)| {
-        let st = run_tuple(spec, cfg, WarpTuple { n, p }, window);
-        (n, p, st.ipc() / base_ipc)
-    });
-
-    let mut out = SpeedupGrid::new(max_warps);
-    for (n, p, s) in results {
-        out.set(n, p, s);
-    }
-    // The baseline point is a speedup of exactly 1 by construction.
-    out.set(max_warps, max_warps, 1.0);
-    out
+    profile(spec, cfg, grid, window).grid
 }
 
 /// Compute `Pbest`: the speedup of the kernel when the L1 is scaled 64×
@@ -239,6 +274,36 @@ mod tests {
         let max_n = g.max_n();
         let s = g.get(max_n, max_n).unwrap();
         assert!((s - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn profile_grid_matches_explicit_point_runs() {
+        // The baseline doubles as the (max, max) point instead of being
+        // simulated twice; every speedup must still equal the one built
+        // from explicit run_tuple calls.
+        let (k, cfg) = (thrashy_kernel(), quick_cfg());
+        let window = ProfileWindow {
+            warmup: 300,
+            measure: 800,
+        };
+        let grid = GridSpec::coarse(24);
+        let g = profile_grid(&k, &cfg, &grid, window);
+        let max_n = g.max_n();
+        let base_ipc = run_tuple(&k, &cfg, WarpTuple::max(max_n), window)
+            .ipc()
+            .max(1e-9);
+        for &(n, p) in grid.points() {
+            let want = if (n, p) == (max_n, max_n) {
+                1.0
+            } else {
+                run_tuple(&k, &cfg, WarpTuple { n, p }, window).ipc() / base_ipc
+            };
+            assert_eq!(
+                g.get(n, p).map(f64::to_bits),
+                Some(want.to_bits()),
+                "({n},{p})"
+            );
+        }
     }
 
     #[test]

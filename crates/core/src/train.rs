@@ -6,7 +6,7 @@
 
 use crate::experiment::Setup;
 use crate::params::PoiseParams;
-use crate::profiler::{profile_grid, run_tuple, GridSpec, ProfileWindow};
+use crate::profiler::{profile, run_tuple, GridSpec, ProfileWindow};
 use gpu_sim::{GpuConfig, KernelSource, WarpTuple, WindowSample};
 use poise_ml::{scoring, FeatureVector, TrainedModel, TrainingSample, TrainingThresholds};
 use workloads::{training_suite, Workload};
@@ -35,7 +35,8 @@ pub fn collect_sample_scored(
     scoring: &poise_ml::ScoringWeights,
 ) -> TrainingSample {
     let max_warps = spec.warps_per_scheduler().min(cfg.max_warps_per_scheduler);
-    let profile = profile_grid(spec, cfg, grid, window);
+    let profiled = profile(spec, cfg, grid, window);
+    let profile = &profiled.grid;
 
     let (target, _) = profile
         .best_scored(scoring)
@@ -43,9 +44,15 @@ pub fn collect_sample_scored(
     let best_speedup = profile.best_performance().map(|(_, s)| s).unwrap_or(1.0);
     let scaled = scoring::scale_tuple(target, max_warps, cfg.max_warps_per_scheduler);
 
-    // Feature sampling at the same two reference points the HIE uses.
-    let base = run_tuple(spec, cfg, WarpTuple::max(max_warps), window);
-    let refp = run_tuple(spec, cfg, WarpTuple { n: 1, p: 1 }, window);
+    // Feature sampling at the same two reference points the HIE uses:
+    // the baseline `(max, max)` and `(1, 1)`, both already simulated by
+    // the profile whenever the grid holds them.
+    let base = &profiled.base;
+    let one = WarpTuple { n: 1, p: 1 };
+    let refp = match profiled.steady(one) {
+        Some(st) => st.clone(),
+        None => run_tuple(spec, cfg, one, window),
+    };
     let base_s = WindowSample::from_counters(&base.window);
     let ref_s = WindowSample::from_counters(&refp.window);
 
@@ -157,6 +164,31 @@ mod tests {
         assert!(s.features.as_slice().iter().all(|v| v.is_finite()));
         assert!(s.target.n >= 1 && s.target.p >= 1);
         assert!(s.best_speedup > 0.0);
+    }
+
+    #[test]
+    fn sample_features_match_explicit_reference_runs() {
+        // The sample reuses the profile's (max, max) and (1, 1) runs; the
+        // features must equal those of two explicit run_tuple calls.
+        let setup = tiny_setup();
+        let spec: Workload = KernelSpec::steady("tr", AccessMix::memory_sensitive(), 12).into();
+        let window = setup.profile_window;
+        for grid in [GridSpec::diagonal(8), GridSpec::coarse(24)] {
+            let s = collect_sample_scored(&spec, &setup.cfg, &grid, window, &setup.params.scoring);
+            let max_warps = spec
+                .warps_per_scheduler()
+                .min(setup.cfg.max_warps_per_scheduler);
+            let base = run_tuple(&spec, &setup.cfg, WarpTuple::max(max_warps), window);
+            let refp = run_tuple(&spec, &setup.cfg, WarpTuple { n: 1, p: 1 }, window);
+            let (base_s, ref_s) = (
+                WindowSample::from_counters(&base.window),
+                WindowSample::from_counters(&refp.window),
+            );
+            let want = FeatureVector::from_samples(&base_s, &ref_s);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(s.features.as_slice()), bits(want.as_slice()));
+            assert_eq!(s.ref_hit_rate.to_bits(), ref_s.hit_rate.to_bits());
+        }
     }
 
     #[test]

@@ -102,8 +102,8 @@ impl Sha256 {
         }
     }
 
-    /// Finish and return the digest as 64 lowercase hex characters.
-    pub fn finish_hex(mut self) -> String {
+    /// Finish and return the 32-byte digest.
+    pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
@@ -114,12 +114,28 @@ impl Sha256 {
         self.buf[block_start..block_start + 8].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
-        let mut out = String::with_capacity(64);
-        for s in self.state {
-            out.push_str(&format!("{s:08x}"));
+        let mut out = [0u8; 32];
+        for (chunk, s) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&s.to_be_bytes());
         }
         out
     }
+
+    /// Finish and return the digest as 64 lowercase hex characters.
+    pub fn finish_hex(self) -> String {
+        hex(&self.finish())
+    }
+}
+
+/// `bytes` as lowercase hex.
+pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
+    }
+    out
 }
 
 /// SHA-256 of a string, as hex.
